@@ -13,6 +13,7 @@
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/series.h"
+#include "pinned_adapt_metrics.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
@@ -422,22 +423,10 @@ TEST(ObsDeterminismTest, SamplingEnabledVsDisabledIsBitIdentical) {
 // The PR-1 pinned fixed-seed replay (victim_index_test) must reproduce
 // bit-identically with the sampler attached: the observer is passive.
 TEST(ObsDeterminismTest, PinnedFixedSeedMetricsUnchangedWithSamplerAttached) {
-  trace::CloudVolumeModel model(trace::alibaba_profile(), /*seed=*/42);
-  const trace::Volume volume = model.make_volume(/*volume_id=*/0,
-                                                 /*fill_factor=*/3.0);
-  ASSERT_EQ(volume.records.size(), 66314u);
+  const trace::Volume volume = testing::pinned_adapt_volume();
+  ASSERT_EQ(volume.records.size(), testing::kPinnedAdaptRecords);
   const sim::VolumeResult r = run_sampled(volume, 4096, 128);
-  const lss::LssMetrics& m = r.metrics;
-  EXPECT_EQ(m.user_blocks, 173331u);
-  EXPECT_EQ(m.gc_blocks, 89754u);
-  EXPECT_EQ(m.shadow_blocks, 10640u);
-  EXPECT_EQ(m.padding_blocks, 146403u);
-  EXPECT_EQ(m.gc_runs, 1370u);
-  EXPECT_EQ(m.forced_lazy_flushes, 13u);
-  EXPECT_EQ(m.read_blocks, 140561u);
-  EXPECT_EQ(m.read_chunk_fetches, 47381u);
-  EXPECT_EQ(m.read_buffer_hits, 449u);
-  EXPECT_EQ(m.read_unmapped, 34479u);
+  testing::expect_pinned_adapt_metrics(r.metrics);
   // And the series the run produced is non-empty and schema-valid.
   ASSERT_NE(r.series, nullptr);
   std::ostringstream jsonl;

@@ -16,6 +16,7 @@
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "obs/trace_log.h"
+#include "pinned_adapt_metrics.h"
 #include "sim/simulator.h"
 #include "trace/synthetic.h"
 
@@ -328,17 +329,10 @@ TEST(TraceDeterminismTest, TracingOnVsOffIsBitIdentical) {
 // trace sinks attached (the counterpart of the -DADAPT_TRACING=OFF
 // configure covered by CI: both directions leave the metrics untouched).
 TEST(TraceDeterminismTest, PinnedFixedSeedMetricsUnchangedWithTracing) {
-  trace::CloudVolumeModel model(trace::alibaba_profile(), /*seed=*/42);
-  const trace::Volume volume = model.make_volume(/*volume_id=*/0,
-                                                 /*fill_factor=*/3.0);
-  ASSERT_EQ(volume.records.size(), 66314u);
+  const trace::Volume volume = testing::pinned_adapt_volume();
+  ASSERT_EQ(volume.records.size(), testing::kPinnedAdaptRecords);
   const sim::VolumeResult r = run_traced(volume, true);
-  EXPECT_EQ(r.metrics.user_blocks, 173331u);
-  EXPECT_EQ(r.metrics.gc_blocks, 89754u);
-  EXPECT_EQ(r.metrics.shadow_blocks, 10640u);
-  EXPECT_EQ(r.metrics.padding_blocks, 146403u);
-  EXPECT_EQ(r.metrics.gc_runs, 1370u);
-  EXPECT_EQ(r.metrics.forced_lazy_flushes, 13u);
+  testing::expect_pinned_adapt_metrics(r.metrics);
   ASSERT_NE(r.trace, nullptr);
   if (lss::kTracingCompiled) {
     EXPECT_GT(r.trace->recorded, 0u);
