@@ -4,6 +4,11 @@
 // the end-to-end engine write path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "adapt/adapt_policy.h"
 #include "adapt/bloom.h"
 #include "adapt/ghost_set.h"
@@ -37,16 +42,78 @@ void BM_BloomLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomLookup);
 
+// The hash-once split of BM_BloomLookup: hashing and reducing an LBA to its
+// seven bit positions, then testing a ready probe against one filter.
+void BM_BloomProbe(benchmark::State& state) {
+  const std::uint64_t bits = core::BloomFilter::bit_count_for(1 << 16);
+  Lba lba = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::BloomFilter::probe(lba++, bits));
+  }
+}
+BENCHMARK(BM_BloomProbe);
+
+void BM_BloomContainsProbe(benchmark::State& state) {
+  core::BloomFilter filter(1 << 16);
+  for (Lba lba = 0; lba < (1 << 16); ++lba) filter.insert(lba);
+  std::vector<core::BloomProbe> probes;
+  for (Lba lba = 0; lba < 4096; ++lba) probes.push_back(filter.probe(lba));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(filter.contains(probes[i++ & 4095]));
+  }
+}
+BENCHMARK(BM_BloomContainsProbe);
+
 void BM_CascadeScore(benchmark::State& state) {
   core::CascadeDiscriminator cascade(
       static_cast<std::uint32_t>(state.range(0)), 4096);
   for (Lba lba = 0; lba < 16384; ++lba) cascade.insert(lba);
   Lba lba = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cascade.score(lba++));
+    benchmark::DoNotOptimize(cascade.score(cascade.probe(lba++)));
   }
 }
 BENCHMARK(BM_CascadeScore)->Arg(2)->Arg(4)->Arg(8);
+
+// AdaptPolicy's demotion check: score one LBA against all 4 GC-group
+// cascades (bloom_filters_per_group = 4, bloom_filter_capacity = 1024 by
+// default), each filled to `range(0)` filters. hash_once:1 hashes once and
+// shares the probe (the policy's path); hash_once:0 re-hashes in every
+// filter, as each maybe_contains() call does.
+void BM_AdaptCascadeScore(benchmark::State& state) {
+  const auto filled = static_cast<Lba>(state.range(0));
+  const bool hash_once = state.range(1) != 0;
+  std::vector<core::CascadeDiscriminator> cascades(
+      4, core::CascadeDiscriminator(4, 1024));
+  Lba next = 0;
+  for (core::CascadeDiscriminator& c : cascades) {
+    for (Lba i = 0; i < filled * 1024; ++i) c.insert(next++);
+  }
+  Rng rng(6);
+  for (auto _ : state) {
+    const Lba lba = rng.below(next + 1);
+    std::uint32_t best = 0;
+    if (hash_once) {
+      const core::BloomProbe probe = cascades.front().probe(lba);
+      for (const core::CascadeDiscriminator& c : cascades) {
+        best = std::max(best, c.score(probe));
+      }
+    } else {
+      for (const core::CascadeDiscriminator& c : cascades) {
+        std::uint32_t score = 0;
+        for (const core::BloomFilter& f : c.filters()) {
+          if (f.maybe_contains(lba)) ++score;
+        }
+        best = std::max(best, score);
+      }
+    }
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK(BM_AdaptCascadeScore)
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
+    ->ArgNames({"filters", "hash_once"});
 
 void BM_ReuseDistanceAccess(benchmark::State& state) {
   core::ReuseDistanceTracker tracker;
@@ -65,7 +132,7 @@ void BM_GhostSetWrite(benchmark::State& state) {
       1024);
   Rng rng(2);
   for (auto _ : state) {
-    ghost.write(rng.below(8192), rng.below(4096));
+    ghost.write(static_cast<std::uint32_t>(rng.below(8192)), rng.below(4096));
   }
 }
 BENCHMARK(BM_GhostSetWrite);

@@ -57,10 +57,13 @@ GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
         prior != kNeverWritten &&
         static_cast<double>(now - prior) >= 4.0 * threshold();
     if (long_lived) {
+      // Every cascade's filters share bloom_filter_capacity, hence one bit
+      // count: hash the LBA once and test that probe everywhere.
+      const BloomProbe probe = discriminators_.front().probe(lba);
       GroupId best_group = kInvalidGroup;
       std::uint32_t best_score = 0;
       for (GroupId g = 0; g < kGcGroups; ++g) {
-        const std::uint32_t s = discriminators_[g].score(lba);
+        const std::uint32_t s = discriminators_[g].score(probe);
         if (s > best_score) {
           best_score = s;
           best_group = kFirstGcGroup + g;

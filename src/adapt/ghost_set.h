@@ -2,21 +2,26 @@
 //
 // A ghost set replays sampled user writes through a miniature two-group
 // (hot/cold) log-structured layout with its own hot/cold threshold,
-// tracking only LBAs. Segment sizes are scaled by the sampling rate. GC
-// uses greedy selection but — unlike the real system — *discards* victim
-// valid blocks instead of rewriting them, because in the real system those
-// blocks would leave the user-written groups for GC-rewritten groups. The
-// ratio of discarded to written blocks is the ghost's WA proxy; the
-// threshold whose ghost discards least wins.
+// tracking only block ids. Segment sizes are scaled by the sampling rate.
+// GC uses greedy selection but — unlike the real system — *discards*
+// victim valid blocks instead of rewriting them, because in the real
+// system those blocks would leave the user-written groups for GC-rewritten
+// groups. The ratio of discarded to written blocks is the ghost's WA
+// proxy; the threshold whose ghost discards least wins.
+//
+// Layout: blocks are named by the dense ids ReuseDistanceTracker hands out
+// (0, 1, 2, ... in first-access order), so everything is a flat array. A
+// fixed slab of capacity_segments + 2 segments holds the id logs; loc_[id]
+// is the slab slot of id's live copy. A slot is valid iff loc_ points back
+// at it, so there is no validity bitmap and invalidation is one decrement.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "audit/audit.h"
-#include "common/types.h"
 
 namespace adapt::core {
 
@@ -44,9 +49,10 @@ class GhostSet {
     gc_runs_ = 0;
   }
 
-  /// Feeds one sampled user write with its (scaled) access interval;
-  /// kFirstAccess (all-ones) means no history -> cold.
-  void write(Lba lba, std::uint64_t interval);
+  /// Feeds one sampled user write of block `id` (a dense id) with its
+  /// (scaled) access interval; kFirstAccess (all-ones) means no history ->
+  /// cold.
+  void write(std::uint32_t id, std::uint64_t interval);
 
   std::uint64_t written() const noexcept { return written_; }
   std::uint64_t discarded() const noexcept { return discarded_; }
@@ -63,29 +69,33 @@ class GhostSet {
   /// "Authentic" once GC has churned enough for the ratio to mean anything.
   bool stable() const noexcept { return gc_runs_ >= 2; }
 
-  std::size_t segment_count() const noexcept { return segments_.size(); }
+  /// Live (open or sealed) segments.
+  std::size_t segment_count() const noexcept { return live_segments_; }
   std::size_t memory_usage_bytes() const noexcept;
 
   /// Self-audit; throws std::logic_error on violation. kCounters checks the
   /// open-segment bookkeeping in O(1); kFull re-derives every segment's
-  /// valid count and cross-checks the LBA map in O(tracked blocks).
+  /// valid count and cross-checks loc_ in O(slab + tracked ids).
   void check_invariants(audit::Level level) const;
 
  private:
-  struct GhostSegment {
-    std::vector<Lba> lbas;
-    std::vector<bool> valid;
-    std::uint32_t valid_count = 0;
-    bool sealed = false;
+  static constexpr std::uint32_t kNowhere =
+      std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint64_t kFree =
+      std::numeric_limits<std::uint64_t>::max();
+
+  struct Segment {
+    std::uint64_t key = kFree;  ///< creation order; kFree when unused
+    std::uint32_t fill = 0;     ///< slots written (sealed at segment_blocks)
+    std::uint32_t valid = 0;    ///< slots whose loc_ entry points back
   };
 
-  struct Location {
-    std::uint64_t segment_key;
-    std::uint32_t slot;
-  };
-
-  void append(Lba lba, bool hot);
+  void track(std::uint32_t id);
+  void append(std::uint32_t id, bool hot);
   void maybe_gc();
+  bool valid_slot(std::uint32_t slot) const noexcept {
+    return loc_[ids_[slot]] == slot;
+  }
 
   GhostConfig config_;
   std::uint64_t threshold_;
@@ -93,9 +103,11 @@ class GhostSet {
   std::uint64_t discarded_ = 0;
   std::uint64_t gc_runs_ = 0;
   std::uint64_t next_segment_key_ = 0;
-  std::uint64_t open_key_[2] = {~0ull, ~0ull};  // hot, cold open segments
-  std::unordered_map<std::uint64_t, GhostSegment> segments_;
-  std::unordered_map<Lba, Location> map_;
+  std::size_t live_segments_ = 0;
+  std::uint32_t open_[2] = {kNowhere, kNowhere};  // hot, cold slab indices
+  std::vector<Segment> segments_;     // the slab: capacity_segments + 2
+  std::vector<std::uint32_t> ids_;    // segment s owns [s*B, (s+1)*B)
+  std::vector<std::uint32_t> loc_;    // id -> slab slot, or kNowhere
 };
 
 }  // namespace adapt::core

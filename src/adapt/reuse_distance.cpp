@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace adapt::core {
 
@@ -24,9 +25,15 @@ ReuseDistanceTracker::Interval ReuseDistanceTracker::access(
         static_cast<std::uint64_t>(marks_.suffix_sum_after(it->second.seq));
     interval.raw_interval = now - it->second.time;
     marks_.add(it->second.seq, -1);
-    it->second = LastSeen{next_seq_, now};
+    it->second.seq = next_seq_;
+    it->second.time = now;
+    interval.id = it->second.id;
   } else {
-    last_seen_.emplace(lba, LastSeen{next_seq_, now});
+    if (last_seen_.size() >= std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("ReuseDistanceTracker: dense ids exhausted");
+    }
+    interval.id = static_cast<std::uint32_t>(last_seen_.size());
+    last_seen_.emplace(lba, LastSeen{next_seq_, now, interval.id});
   }
   marks_.add(next_seq_, +1);
   ++next_seq_;
@@ -34,9 +41,10 @@ ReuseDistanceTracker::Interval ReuseDistanceTracker::access(
 }
 
 std::size_t ReuseDistanceTracker::memory_usage_bytes() const noexcept {
-  // Hash-map node (~36B with bucket overhead) + 8B tree slot per access
-  // position retained.
-  return last_seen_.size() * 36 + marks_.size() * sizeof(std::int64_t);
+  // Hash-map node (~36B with bucket overhead) + 4B dense id per block, and
+  // an 8B tree slot per access position retained.
+  return last_seen_.size() * (36 + sizeof(std::uint32_t)) +
+         marks_.size() * sizeof(std::int64_t);
 }
 
 }  // namespace adapt::core

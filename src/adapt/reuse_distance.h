@@ -7,6 +7,12 @@
 // by 1/rate estimates the block's real access interval. The "distance
 // tree" is a Fenwick tree over the sampled access sequence: the most recent
 // position of each live block is marked, so the distance is a suffix count.
+//
+// The tracker also names every sampled block with a dense id (0, 1, 2, ...
+// in first-access order) from the same single hash lookup, so downstream
+// consumers — the ghost sets — can index flat arrays instead of hashing the
+// LBA again. The ids depend only on the access sequence, never on the hash
+// table's layout.
 #pragma once
 
 #include <cstddef>
@@ -49,21 +55,27 @@ class ReuseDistanceTracker {
     /// lba's last access, or kFirstAccess. Same unit as the placement
     /// lifespans, so thresholds derived from it apply directly.
     std::uint64_t raw_interval = kFirstAccess;
+    /// lba's dense id: the number of distinct blocks tracked before its
+    /// first access.
+    std::uint32_t id = 0;
   };
 
   /// Records an access at caller time `now` and returns both interval
-  /// measures for lba's previous access (kFirstAccess on no history).
+  /// measures for lba's previous access (kFirstAccess on no history) plus
+  /// lba's dense id. Throws std::length_error past 2^32 - 1 tracked blocks.
   Interval access(Lba lba, std::uint64_t now);
 
   std::size_t tracked_blocks() const noexcept { return last_seen_.size(); }
 
-  /// ~44 bytes per sampled block (paper §4.4): map entry + tree slot.
+  /// ~48 bytes per sampled block (paper §4.4: ~44): map entry, dense id and
+  /// tree slot.
   std::size_t memory_usage_bytes() const noexcept;
 
  private:
   struct LastSeen {
     std::uint64_t seq;
     std::uint64_t time;
+    std::uint32_t id;
   };
 
   std::unordered_map<Lba, LastSeen> last_seen_;

@@ -90,7 +90,7 @@ bool ThresholdAdapter::on_user_write(Lba lba, VTime now) {
     } else {
       interval = measured.raw_interval;
     }
-    for (GhostSet& g : ghosts_) g.write(lba, interval);
+    for (GhostSet& g : ghosts_) g.write(measured.id, interval);
     ++sampled_since_reconfigure_;
   }
 

@@ -151,6 +151,7 @@ struct RuleContext {
   std::string_view path;     ///< normalized, forward slashes
   std::string_view text;     ///< stripped source
   std::string_view raw;      ///< original source
+  std::string_view companion;  ///< stripped companion header, or empty
   const AllowMap& allows;
   std::vector<Finding>& out;
 };
@@ -362,12 +363,131 @@ void rule_header_hygiene(const RuleContext& ctx) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// unordered-iteration: no range-for over a std::unordered_* container. Its
+// visiting order is the hash table's layout, so anything computed from it
+// (a victim choice, a tie-break, an output order) silently depends on the
+// standard library, the bucket count and the insertion history.
+
+bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// Adds to `names` every identifier `text` declares with a std::unordered_*
+/// type: the name after the closing '>' of the template arguments,
+/// skipping cv/ref/pointer tokens. Nested names like `::iterator` are not
+/// containers and are skipped.
+void collect_unordered_names(std::string_view text,
+                             std::set<std::string, std::less<>>& names) {
+  static constexpr std::string_view kTypes[] = {
+      "unordered_map", "unordered_set", "unordered_multimap",
+      "unordered_multiset"};
+  for (const std::string_view type : kTypes) {
+    std::size_t pos = 0;
+    while ((pos = find_token(text, type, pos)) != std::string_view::npos) {
+      const std::size_t at = pos;
+      pos += 1;
+      if (at < 5 || text.substr(at - 5, 5) != "std::") continue;
+      std::size_t i = at + type.size();
+      while (i < text.size() && is_space(text[i])) ++i;
+      if (i >= text.size() || text[i] != '<') continue;
+      int depth = 0;
+      for (; i < text.size(); ++i) {
+        if (text[i] == '<') depth += 1;
+        if (text[i] == '>' && --depth == 0) break;
+      }
+      if (i >= text.size()) continue;
+      i += 1;
+      for (;;) {
+        while (i < text.size() && (is_space(text[i]) || text[i] == '&' ||
+                                   text[i] == '*')) {
+          ++i;
+        }
+        if (text.substr(i, 5) == "const" &&
+            (i + 5 >= text.size() || !is_word(text[i + 5]))) {
+          i += 5;
+          continue;
+        }
+        break;
+      }
+      const std::size_t name_begin = i;
+      while (i < text.size() && is_word(text[i])) ++i;
+      if (i > name_begin) {
+        names.emplace(text.substr(name_begin, i - name_begin));
+      }
+    }
+  }
+}
+
+/// The container a range-for's range expression names: the last member of
+/// a plain `a`, `*a`, `this->a`, `x.a` or `p->a` chain, or empty for any
+/// other expression (calls, subscripts, casts).
+std::string_view ranged_name(std::string_view expr) {
+  while (!expr.empty() && is_space(expr.front())) expr.remove_prefix(1);
+  while (!expr.empty() && is_space(expr.back())) expr.remove_suffix(1);
+  if (!expr.empty() && expr.front() == '*') expr.remove_prefix(1);
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < expr.size(); ++i) {
+    const char c = expr[i];
+    if (is_word(c)) continue;
+    if (c == '.') {
+      last = i + 1;
+    } else if (c == '-' && i + 1 < expr.size() && expr[i + 1] == '>') {
+      last = i + 2;
+      ++i;
+    } else {
+      return {};
+    }
+  }
+  return expr.substr(last);
+}
+
+void rule_unordered_iteration(const RuleContext& ctx) {
+  std::set<std::string, std::less<>> names;
+  collect_unordered_names(ctx.text, names);
+  collect_unordered_names(ctx.companion, names);
+  if (names.empty()) return;
+  std::size_t pos = 0;
+  while ((pos = find_call_token(ctx.text, "for", "(", pos)) !=
+         std::string_view::npos) {
+    const std::size_t open = ctx.text.find('(', pos);
+    pos += 1;
+    // The range-for colon: the last top-level single ':' (not '::') after
+    // any init-statement, inside the for's own parentheses.
+    int depth = 0;
+    std::size_t colon = std::string_view::npos;
+    std::size_t close = open;
+    for (std::size_t i = open; i < ctx.text.size(); ++i) {
+      const char c = ctx.text[i];
+      if (c == '(' || c == '[' || c == '{') depth += 1;
+      if (c == ')' || c == ']' || c == '}') depth -= 1;
+      if (depth == 0) {
+        close = i;
+        break;
+      }
+      if (depth != 1) continue;
+      if (c == ';') colon = std::string_view::npos;
+      const bool scope = (i + 1 < ctx.text.size() && ctx.text[i + 1] == ':') ||
+                         ctx.text[i - 1] == ':';
+      if (c == ':' && !scope) colon = i;
+    }
+    if (colon == std::string_view::npos || close <= colon) continue;
+    const std::string_view name =
+        ranged_name(ctx.text.substr(colon + 1, close - colon - 1));
+    if (name.empty() || names.find(name) == names.end()) continue;
+    report(ctx, kRuleUnorderedIteration, colon + 1,
+           "range-for over std::unordered_* container '" + std::string(name) +
+               "' visits elements in hash-table layout order; iterate a "
+               "sorted or insertion-ordered structure instead");
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string_view>& all_rules() {
   static const std::vector<std::string_view> kRules = {
-      kRuleHotAlloc, kRuleTraceEmitGuard, kRuleNakedThreading,
-      kRuleNondeterminism, kRuleHeaderHygiene};
+      kRuleHotAlloc,        kRuleTraceEmitGuard, kRuleNakedThreading,
+      kRuleNondeterminism,  kRuleHeaderHygiene,  kRuleUnorderedIteration};
   return kRules;
 }
 
@@ -428,17 +548,20 @@ std::string strip_comments_and_strings(std::string_view source) {
 }
 
 std::vector<Finding> lint_source(std::string_view path,
-                                 std::string_view source) {
+                                 std::string_view source,
+                                 std::string_view companion_header) {
   const std::string norm = normalized(path);
   const std::string stripped = strip_comments_and_strings(source);
+  const std::string companion = strip_comments_and_strings(companion_header);
   const AllowMap allows = collect_allows(source);
   std::vector<Finding> findings;
-  const RuleContext ctx{norm, stripped, source, allows, findings};
+  const RuleContext ctx{norm, stripped, source, companion, allows, findings};
   rule_hot_alloc(ctx);
   rule_trace_emit_guard(ctx);
   rule_naked_threading(ctx);
   rule_nondeterminism(ctx);
   rule_header_hygiene(ctx);
+  rule_unordered_iteration(ctx);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& l, const Finding& r) {
               return std::tie(l.line, l.rule, l.message) <
@@ -480,12 +603,20 @@ Result lint_tree(const std::vector<std::string>& roots) {
 
   Result result;
   result.files_scanned = files.size();
-  for (const std::string& file : files) {
+  const auto read = [](const std::string& file) {
     std::ifstream in(file, std::ios::binary);
     if (!in) throw std::runtime_error("adapt_lint: cannot read " + file);
-    const std::string source((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-    std::vector<Finding> findings = lint_source(file, source);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  for (const std::string& file : files) {
+    const std::string source = read(file);
+    std::string companion;
+    if (ends_with(file, ".cpp")) {
+      const std::string header = file.substr(0, file.size() - 4) + ".h";
+      if (fs::is_regular_file(header)) companion = read(header);
+    }
+    std::vector<Finding> findings = lint_source(file, source, companion);
     result.findings.insert(result.findings.end(),
                            std::make_move_iterator(findings.begin()),
                            std::make_move_iterator(findings.end()));

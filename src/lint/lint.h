@@ -17,9 +17,15 @@
 //   nondeterminism   rand()/srand()/time()/std::random_device/mt19937 are
 //                    banned outside src/common/rng.* — all randomness
 //                    flows from seeded adapt::Rng instances.
-//   header-hygiene   src/lss headers must use #pragma once and directly
+//   header-hygiene   src/ headers must use #pragma once and directly
 //                    include the standard headers they use (IWYU-lite over
 //                    a small token -> header map).
+//   unordered-iteration
+//                    no range-for over a name declared as std::unordered_*
+//                    in the same file or its companion header: iteration
+//                    order is the hash table's layout, which differs across
+//                    standard libraries, bucket counts and insertion
+//                    histories, so results must never depend on it.
 //
 // A finding can be suppressed with a comment on the finding line or the
 // line immediately above it:  // ADAPT_LINT_ALLOW(rule-name) — every
@@ -48,6 +54,8 @@ inline constexpr std::string_view kRuleTraceEmitGuard = "trace-emit-guard";
 inline constexpr std::string_view kRuleNakedThreading = "naked-threading";
 inline constexpr std::string_view kRuleNondeterminism = "nondeterminism";
 inline constexpr std::string_view kRuleHeaderHygiene = "header-hygiene";
+inline constexpr std::string_view kRuleUnorderedIteration =
+    "unordered-iteration";
 
 /// Every rule id, in report order.
 const std::vector<std::string_view>& all_rules();
@@ -71,12 +79,16 @@ std::string strip_comments_and_strings(std::string_view source);
 
 /// Lints one translation unit. `path` is the repo-relative path (forward
 /// slashes); it drives the per-rule scope exemptions documented above.
+/// `companion_header` is the source of the matching .h for a .cpp (empty
+/// when there is none); only its declarations are read, never linted.
 std::vector<Finding> lint_source(std::string_view path,
-                                 std::string_view source);
+                                 std::string_view source,
+                                 std::string_view companion_header = {});
 
 /// Walks `roots` (files or directories; directories recurse over *.h and
 /// *.cpp, skipping any directory component named "build" or starting with
-/// '.'), lints every file, and returns the merged result with findings
+/// '.'), lints every file (each foo.cpp with foo.h beside it, if any, as
+/// its companion header), and returns the merged result with findings
 /// ordered by (file, line, rule). Paths in findings are as discovered.
 /// Throws std::runtime_error when a root does not exist.
 Result lint_tree(const std::vector<std::string>& roots);

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <utility>
@@ -279,6 +281,109 @@ TEST(LintHeaderHygieneTest, StringViewDoesNotRequireString) {
 }
 
 // ---------------------------------------------------------------------------
+// unordered-iteration
+
+TEST(LintUnorderedIterationTest, FiresOnRangeForOverUnorderedMember) {
+  const auto findings = of_rule(
+      lint_source("src/adapt/x.cpp",
+                  "std::unordered_map<std::uint64_t, Seg> segments_;\n"
+                  "void scan() {\n"
+                  "  for (const auto& [key, seg] : segments_) use(seg);\n"
+                  "}\n"),
+      kRuleUnorderedIteration);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3u);
+  EXPECT_NE(findings[0].message.find("segments_"), std::string::npos);
+}
+
+TEST(LintUnorderedIterationTest, FiresOnEveryUnorderedKindAndAccessForm) {
+  const auto findings = of_rule(
+      lint_source("src/obs/x.cpp",
+                  "void f(const std::unordered_set<int>& seen,\n"
+                  "       std::unordered_multimap<int, int>* multi,\n"
+                  "       Holder h) {\n"
+                  "  for (int v : seen) use(v);\n"
+                  "  for (auto& kv : *multi) use(kv);\n"
+                  "  for (auto& kv : this->seen) use(kv);\n"
+                  "  for (auto& kv : h.inner.seen) use(kv);\n"
+                  "  for (std::size_t i = 0; auto& kv : seen) use(kv, i);\n"
+                  "}\n"),
+      kRuleUnorderedIteration);
+  std::vector<std::size_t> lines;
+  for (const Finding& f : findings) lines.push_back(f.line);
+  EXPECT_EQ(lines, (std::vector<std::size_t>{4, 5, 6, 7, 8}));
+}
+
+TEST(LintUnorderedIterationTest, FiresWhenDeclaredInCompanionHeader) {
+  const std::string header =
+      "#pragma once\n#include <unordered_map>\n"
+      "class Tracker {\n  std::unordered_map<Lba, LastSeen> last_seen_;\n};\n";
+  const std::string source =
+      "void Tracker::dump() {\n  for (auto& e : last_seen_) print(e);\n}\n";
+  EXPECT_EQ(of_rule(lint_source("src/adapt/t.cpp", source, header),
+                    kRuleUnorderedIteration)
+                .size(),
+            1u);
+  // Without the header the name is unknown: nothing to report.
+  EXPECT_TRUE(of_rule(lint_source("src/adapt/t.cpp", source),
+                      kRuleUnorderedIteration)
+                  .empty());
+}
+
+TEST(LintUnorderedIterationTest, SilentOnLookupsOrderedContainersAndCalls) {
+  const auto findings = of_rule(
+      lint_source(
+          "src/audit/x.cpp",
+          "std::unordered_map<Lba, std::uint64_t> version_;\n"
+          "std::unordered_map<Lba, int>::iterator cursor;\n"
+          "std::map<Lba, int> ordered_;\n"
+          "void f(const std::vector<Entry>& entries) {\n"
+          "  for (const Entry& e : entries) ++version_[e.lba];\n"
+          "  for (const auto& kv : ordered_) use(kv);\n"
+          "  for (const auto& kv : sorted(version_)) use(kv);\n"
+          "  for (std::size_t i = 0; i < n; i += c ? 1 : 2) use(i);\n"
+          "  const bool live = version_.contains(7);\n"
+          "  // for (auto& kv : version_) -- a comment, not code\n"
+          "}\n"),
+      kRuleUnorderedIteration);
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintUnorderedIterationTest, AllowCommentSuppresses) {
+  const auto findings = of_rule(
+      lint_source("src/obs/x.cpp",
+                  "std::unordered_map<int, int> flows;\n"
+                  "// Order-free: only sums the counts.\n"
+                  "// ADAPT_LINT_ALLOW(unordered-iteration)\n"
+                  "for (const auto& kv : flows) total += kv.second;\n"),
+      kRuleUnorderedIteration);
+  EXPECT_TRUE(findings.empty());
+}
+
+TEST(LintUnorderedIterationTest, LintTreePairsEachSourceWithItsHeader) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "lint_companion";
+  fs::remove_all(root);
+  fs::create_directories(root / "src" / "adapt");
+  const auto write = [](const fs::path& p, const std::string& text) {
+    std::ofstream(p, std::ios::binary) << text;
+  };
+  write(root / "src" / "adapt" / "ghost.h",
+        "#pragma once\n#include <cstdint>\n#include <unordered_map>\n"
+        "struct Ghost { std::unordered_map<std::uint64_t, int> segs_; "
+        "void gc(); };\n");
+  write(root / "src" / "adapt" / "ghost.cpp",
+        "#include \"ghost.h\"\n"
+        "void Ghost::gc() { for (auto& kv : segs_) pick(kv); }\n");
+  const Result result = lint_tree({(root / "src").generic_string()});
+  const auto findings = of_rule(result.findings, kRuleUnorderedIteration);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].file.find("ghost.cpp"), std::string::npos);
+  EXPECT_EQ(findings[0].line, 2u);
+  fs::remove_all(root);
+}
+
+// ---------------------------------------------------------------------------
 // findings JSON
 
 TEST(LintJsonTest, ReportValidatesAndTamperedSchemaThrows) {
@@ -326,6 +431,7 @@ std::vector<Snippet> snippet_menu() {
       // planted unguarded emit (correct engine behaviour, wrong test model).
       {"void renew_lease() { advance_time(7); }", {}},
       {"ADAPT_HOT int peek() { return counter_; }", {}},
+      {"void walk(std::set<int>& ord) { for (int v : ord) use(v); }", {}},
       {"void note() { if (armed_) { record(7); } }", {}},
       // Violations, one line each so the expected line is the plant line.
       {"ADAPT_HOT void hot_bad() { scratch_.push_back(1); }", kRuleHotAlloc},
@@ -335,6 +441,9 @@ std::vector<Snippet> snippet_menu() {
       {"std::thread naked_worker_;", kRuleNakedThreading},
       {"int entropy() { return rand(); }", kRuleNondeterminism},
       {"long stamp() { return time(0); }", kRuleNondeterminism},
+      {"void hash_walk(std::unordered_set<int>& hs) { for (int v : hs) "
+       "use(v); }",
+       kRuleUnorderedIteration},
   };
 }
 
