@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot data structures on ADAPT's
-// critical path: the Bloom-cascade lookup (paper §3.4 claims nanosecond
-// lookups), reuse-distance tracking, ghost-set writes, Zipfian draws, and
-// the end-to-end engine write path.
+// critical path: the re-access bank's Bloom lookups (paper §3.4 claims
+// nanosecond lookups), interval tracking, ghost-set writes and GC, Zipfian
+// draws, and the end-to-end engine write path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -42,10 +42,10 @@ void BM_BloomLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomLookup);
 
-// The hash-once split of BM_BloomLookup: hashing and reducing an LBA to its
-// seven bit positions, then testing a ready probe against one filter.
+// Hashing and reducing an LBA to its seven bit positions: the reference
+// filter's `%` against the bank's stored-reciprocal reduction.
 void BM_BloomProbe(benchmark::State& state) {
-  const std::uint64_t bits = core::BloomFilter::bit_count_for(1 << 16);
+  const std::uint64_t bits = core::BloomFilter::bit_count_for(1024);
   Lba lba = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::BloomFilter::probe(lba++, bits));
@@ -53,67 +53,67 @@ void BM_BloomProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomProbe);
 
-void BM_BloomContainsProbe(benchmark::State& state) {
-  core::BloomFilter filter(1 << 16);
-  for (Lba lba = 0; lba < (1 << 16); ++lba) filter.insert(lba);
-  std::vector<core::BloomProbe> probes;
-  for (Lba lba = 0; lba < 4096; ++lba) probes.push_back(filter.probe(lba));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.contains(probes[i++ & 4095]));
-  }
-}
-BENCHMARK(BM_BloomContainsProbe);
-
-void BM_CascadeScore(benchmark::State& state) {
-  core::CascadeDiscriminator cascade(
-      static_cast<std::uint32_t>(state.range(0)), 4096);
-  for (Lba lba = 0; lba < 16384; ++lba) cascade.insert(lba);
+void BM_BankProbe(benchmark::State& state) {
+  const core::ReaccessBank bank(4, 4, 1024);
   Lba lba = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cascade.score(cascade.probe(lba++)));
+    benchmark::DoNotOptimize(bank.probe(lba++));
   }
 }
-BENCHMARK(BM_CascadeScore)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_BankProbe);
 
-// AdaptPolicy's demotion check: score one LBA against all 4 GC-group
-// cascades (bloom_filters_per_group = 4, bloom_filter_capacity = 1024 by
-// default), each filled to `range(0)` filters. hash_once:1 hashes once and
-// shares the probe (the policy's path); hash_once:0 re-hashes in every
-// filter, as each maybe_contains() call does.
-void BM_AdaptCascadeScore(benchmark::State& state) {
-  const auto filled = static_cast<Lba>(state.range(0));
-  const bool hash_once = state.range(1) != 0;
-  std::vector<core::CascadeDiscriminator> cascades(
-      4, core::CascadeDiscriminator(4, 1024));
-  Lba next = 0;
-  for (core::CascadeDiscriminator& c : cascades) {
-    for (Lba i = 0; i < filled * 1024; ++i) c.insert(next++);
+/// The policy's bank (4 GC groups x 4 filters of 1024) with every group
+/// holding `filled` full filters.
+core::ReaccessBank filled_bank(std::uint32_t filled, Lba& next) {
+  core::ReaccessBank bank(4, 4, 1024);
+  for (std::uint32_t g = 0; g < 4; ++g) {
+    for (Lba i = 0; i < Lba{filled} * 1024; ++i) bank.insert(g, next++);
   }
+  return bank;
+}
+
+// A ready probe against all 16 filters at once: seven word loads and ANDs.
+void BM_BankHits(benchmark::State& state) {
+  Lba next = 0;
+  const core::ReaccessBank bank = filled_bank(4, next);
+  std::vector<core::BloomProbe> probes;
+  for (Lba lba = 0; lba < 4096; ++lba) probes.push_back(bank.probe(lba * 3));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bank.hits(probes[i++ & 4095]));
+  }
+}
+BENCHMARK(BM_BankHits);
+
+// AdaptPolicy's demotion check: probe one LBA, then score it against all
+// four GC groups' cascades, each filled to `range(0)` filters.
+void BM_AdaptBankScore(benchmark::State& state) {
+  Lba next = 0;
+  const core::ReaccessBank bank =
+      filled_bank(static_cast<std::uint32_t>(state.range(0)), next);
   Rng rng(6);
   for (auto _ : state) {
-    const Lba lba = rng.below(next + 1);
+    const std::uint64_t hits = bank.hits(bank.probe(rng.below(next + 1)));
     std::uint32_t best = 0;
-    if (hash_once) {
-      const core::BloomProbe probe = cascades.front().probe(lba);
-      for (const core::CascadeDiscriminator& c : cascades) {
-        best = std::max(best, c.score(probe));
-      }
-    } else {
-      for (const core::CascadeDiscriminator& c : cascades) {
-        std::uint32_t score = 0;
-        for (const core::BloomFilter& f : c.filters()) {
-          if (f.maybe_contains(lba)) ++score;
-        }
-        best = std::max(best, score);
-      }
+    for (std::uint32_t g = 0; g < 4; ++g) {
+      best = std::max(best, bank.score(hits, g));
     }
     benchmark::DoNotOptimize(best);
   }
 }
-BENCHMARK(BM_AdaptCascadeScore)
-    ->ArgsProduct({{1, 2, 4}, {0, 1}})
-    ->ArgNames({"filters", "hash_once"});
+BENCHMARK(BM_AdaptBankScore)->Arg(1)->Arg(2)->Arg(4)->ArgName("filters");
+
+// GC-time inserts, including the FIFO rotation sweeps that retire a column
+// every 1024 inserts per group.
+void BM_BankInsert(benchmark::State& state) {
+  core::ReaccessBank bank(4, 4, 1024);
+  Lba lba = 0;
+  for (auto _ : state) {
+    bank.insert(static_cast<std::uint32_t>(lba & 3), lba);
+    ++lba;
+  }
+}
+BENCHMARK(BM_BankInsert);
 
 void BM_ReuseDistanceAccess(benchmark::State& state) {
   core::ReuseDistanceTracker tracker;
@@ -136,6 +136,44 @@ void BM_GhostSetWrite(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GhostSetWrite);
+
+// Ghost writes at the cloud replay's ghost geometries (segment blocks,
+// capacity segments): a hot working set overwritten at short intervals plus
+// a write-once cold stream, so a segment seals every few writes and GC
+// picks a victim from the valid-count buckets about as often.
+void BM_GhostGcCloudGeometry(benchmark::State& state) {
+  const auto blocks = static_cast<std::uint32_t>(state.range(0));
+  const auto capacity = static_cast<std::uint32_t>(state.range(1));
+  const std::uint64_t threshold = std::uint64_t{4} * blocks * capacity;
+  core::GhostSet ghost(
+      core::GhostConfig{.segment_blocks = blocks,
+                        .capacity_segments = capacity},
+      threshold);
+  const std::uint32_t hot = blocks * capacity / 2;
+  Rng rng(8);
+  std::uint32_t cold = hot;
+  // Warm the ghost (and its loc_ array) before timing.
+  for (std::uint32_t i = 0; i < 16 * blocks * capacity; ++i) {
+    ghost.write(static_cast<std::uint32_t>(rng.below(hot)),
+                rng.below(2 * threshold));
+  }
+  for (auto _ : state) {
+    if (rng.chance(0.7)) {
+      ghost.write(static_cast<std::uint32_t>(rng.below(hot)),
+                  rng.below(2 * threshold));
+    } else {
+      ghost.write(cold, core::ReuseDistanceTracker::kFirstAccess);
+      cold = cold + 1 == 4 * hot ? hot : cold + 1;
+    }
+  }
+  state.counters["gc_per_write"] = benchmark::Counter(
+      static_cast<double>(ghost.gc_runs()) /
+      static_cast<double>(std::max<std::uint64_t>(ghost.written(), 1)));
+}
+BENCHMARK(BM_GhostGcCloudGeometry)
+    ->Args({10, 34})
+    ->Args({32, 104})
+    ->ArgNames({"segment", "capacity"});
 
 void BM_ZipfianNext(benchmark::State& state) {
   ZipfianGenerator zipf(1u << 20, 0.99);

@@ -1,7 +1,9 @@
 // Microbench: the single-shard engine's per-op hot path.
 //
 // Emits BENCH_engine_hotpath.json (adapt-bench-v1) with an end-to-end
-// replay throughput plus a ns/op breakdown per component (map lookup and
+// replay throughput under SepGC and under ADAPT (the paper's policy, with
+// its sampler, ghosts, re-access bank and aggregation hook all live), plus
+// a ns/op breakdown per component (map lookup and
 // update, shadow-table churn, append/flush, GC migration, victim
 // selection). Everything runs at a fixed seed and fixed op counts, so the
 // deterministic rows (block counters, WA, allocation counts) gate exactly
@@ -11,7 +13,7 @@
 //
 // The bench also proves the "zero steady-state allocations per op" claim:
 // a global operator new/delete interposer counts every heap allocation, and
-// the measured replay region must allocate nothing or the bench exits
+// both measured replay regions must allocate nothing or the bench exits
 // non-zero (and the gated steady_state_allocs row would flag it in CI
 // regardless).
 //
@@ -28,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "adapt/adapt_policy.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -167,6 +170,85 @@ int run() {
   std::printf("replay        %10.0f records/s  (%6.1f ns/op, WA %.3f, "
               "%" PRIu64 " allocs)\n",
               records_per_sec, replay_ns, window_wa, steady_allocs);
+
+  // -- end-to-end replay under ADAPT ----------------------------------------
+  // The same geometry and zipf stream through the paper's own policy, with
+  // its aggregation hook wired as the simulator wires it. The fill writes
+  // every LBA once, so the adapter's tracker and ghosts have seen every
+  // sampled block (their per-block tables reach final size) before the
+  // measured window; from then on ADAPT must not allocate either. Same
+  // op stream and clock as the SepGC replay, so the two ns/op rows compare
+  // policies like for like.
+  std::uint64_t adapt_steady_allocs = 0;
+  {
+    core::AdaptConfig ac;
+    ac.logical_blocks = config.logical_blocks;
+    ac.segment_blocks = config.segment_blocks();
+    ac.chunk_blocks = config.chunk_blocks;
+    ac.over_provision = config.over_provision;
+    core::AdaptPolicy adapt_policy(ac);
+    const auto adapt_victim = lss::make_greedy();
+    lss::LssEngine adapt_engine(config, adapt_policy, *adapt_victim, nullptr,
+                                /*seed=*/42);
+    adapt_engine.set_aggregation_hook(&adapt_policy);
+    TimeUs t = 0;
+    for (Lba lba = 0; lba < config.logical_blocks; ++lba) {
+      adapt_engine.write_block(lba, ++t);
+    }
+    for (std::uint64_t i = 0; i < warmup_ops; ++i) {
+      adapt_engine.write_block(workload[i], ++t);
+    }
+    const lss::LssMetrics& am = adapt_engine.metrics();
+    const lss::LssMetrics before = am;
+    const std::uint64_t chunks_at = adapt_engine.chunks_flushed();
+    const std::uint64_t demotions_at = adapt_policy.demotions();
+    const std::uint64_t adoptions_at = adapt_policy.adapter()->adoptions();
+    const std::uint64_t allocs_at =
+        g_alloc_count.load(std::memory_order_relaxed);
+    const auto start = Clock::now();
+    for (std::uint64_t i = 0; i < measured_ops; ++i) {
+      adapt_engine.write_block(workload[warmup_ops + i], ++t);
+    }
+    const double seconds = seconds_since(start);
+    adapt_steady_allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_at;
+    const std::uint64_t user = am.user_blocks - before.user_blocks;
+    const std::uint64_t gc = am.gc_blocks - before.gc_blocks;
+    const double rate =
+        seconds > 0 ? static_cast<double>(measured_ops) / seconds : 0.0;
+    const double ns = seconds * 1e9 / static_cast<double>(measured_ops);
+    const double wa =
+        user == 0 ? 0.0
+                  : static_cast<double>(am.total_blocks() -
+                                        before.total_blocks()) /
+                        static_cast<double>(user);
+    const obs::BenchReport::Params adapt_row{{"policy", "adapt"}};
+    report.add("replay.records_per_sec", adapt_row, rate, "1/s");
+    report.add("replay.ns_per_op", adapt_row, ns, "ns");
+    report.add("replay.user_blocks", adapt_row, static_cast<double>(user),
+               "blocks");
+    report.add("replay.gc_blocks", adapt_row, static_cast<double>(gc),
+               "blocks");
+    report.add("replay.gc_runs", adapt_row,
+               static_cast<double>(am.gc_runs - before.gc_runs), "count");
+    report.add("replay.chunks_flushed", adapt_row,
+               static_cast<double>(adapt_engine.chunks_flushed() - chunks_at),
+               "count");
+    report.add("replay.demotions", adapt_row,
+               static_cast<double>(adapt_policy.demotions() - demotions_at),
+               "count");
+    report.add("replay.adoptions", adapt_row,
+               static_cast<double>(adapt_policy.adapter()->adoptions() -
+                                   adoptions_at),
+               "count");
+    report.add("replay.wa", adapt_row, wa, "ratio");
+    report.add("replay.steady_state_allocs", adapt_row,
+               static_cast<double>(adapt_steady_allocs), "count");
+    std::printf("replay adapt  %10.0f records/s  (%6.1f ns/op, WA %.3f, "
+                "%" PRIu64 " allocs)\n",
+                rate, ns, wa, adapt_steady_allocs);
+    adapt_engine.check_invariants(audit::Level::kFull);
+  }
 
   // -- GC migration ---------------------------------------------------------
   // Proactive gc_step passes against a raised watermark: time per migrated
@@ -325,11 +407,12 @@ int run() {
   engine.check_invariants(audit::Level::kFull);
   bench::write_report(report);
 
-  if (steady_allocs != 0) {
+  if (steady_allocs != 0 || adapt_steady_allocs != 0) {
     std::fprintf(stderr,
                  "FAIL: steady-state replay allocated %" PRIu64
-                 " times (expected 0)\n",
-                 steady_allocs);
+                 " times under sepgc and %" PRIu64
+                 " under adapt (expected 0)\n",
+                 steady_allocs, adapt_steady_allocs);
     return 1;
   }
   return 0;

@@ -19,11 +19,8 @@ AdaptPolicy::AdaptPolicy(const AdaptConfig& config)
     adapter_ = std::make_unique<ThresholdAdapter>(ac);
   }
   if (config_.enable_proactive_demotion) {
-    discriminators_.reserve(kGcGroups);
-    for (GroupId g = 0; g < kGcGroups; ++g) {
-      discriminators_.emplace_back(config_.bloom_filters_per_group,
-                                   config_.bloom_filter_capacity);
-    }
+    reaccess_.emplace(kGcGroups, config_.bloom_filters_per_group,
+                      config_.bloom_filter_capacity);
   }
 }
 
@@ -56,14 +53,15 @@ GroupId AdaptPolicy::place_user_write(Lba lba, VTime now) {
     const bool long_lived =
         prior != kNeverWritten &&
         static_cast<double>(now - prior) >= 4.0 * threshold();
-    if (long_lived) {
-      // Every cascade's filters share bloom_filter_capacity, hence one bit
-      // count: hash the LBA once and test that probe everywhere.
-      const BloomProbe probe = discriminators_.front().probe(lba);
+    // One probe scores every GC group's cascade at once; most LBAs hit no
+    // filter at all.
+    const std::uint64_t hits =
+        long_lived ? reaccess_->hits(reaccess_->probe(lba)) : 0;
+    if (hits != 0) {
       GroupId best_group = kInvalidGroup;
       std::uint32_t best_score = 0;
       for (GroupId g = 0; g < kGcGroups; ++g) {
-        const std::uint32_t s = discriminators_[g].score(probe);
+        const std::uint32_t s = reaccess_->score(hits, g);
         if (s > best_score) {
           best_score = s;
           best_group = kFirstGcGroup + g;
@@ -108,7 +106,7 @@ GroupId AdaptPolicy::place_gc_rewrite(Lba lba, GroupId victim_group,
   // lifetime matching that group — record it in the group's identifier.
   if (config_.enable_proactive_demotion && victim_group == target &&
       target >= kFirstGcGroup) {
-    discriminators_[target - kFirstGcGroup].insert(lba);
+    reaccess_->insert(target - kFirstGcGroup, lba);
   }
   return target;
 }
@@ -199,9 +197,7 @@ lss::AggregationDecision AdaptPolicy::on_chunk_deadline(
 std::size_t AdaptPolicy::memory_usage_bytes() const {
   std::size_t total = last_write_.capacity() * sizeof(VTime);
   if (adapter_ != nullptr) total += adapter_->memory_usage_bytes();
-  for (const CascadeDiscriminator& d : discriminators_) {
-    total += d.memory_usage_bytes();
-  }
+  if (reaccess_) total += reaccess_->memory_usage_bytes();
   return total;
 }
 

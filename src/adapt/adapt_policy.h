@@ -11,8 +11,9 @@
 //     aggregation conditions (sparse-group prediction + per-segment shadow
 //     budget bounded by the group's average padding volume).
 //   * Proactive Demotion Placement (§3.4): per-GC-group cascading Bloom
-//     filters record blocks that GC migrated back into their own group;
-//     user writes scoring high are placed straight into that GC group.
+//     filters, held bit-sliced in one ReaccessBank, record blocks that GC
+//     migrated back into their own group; user writes scoring high are
+//     placed straight into that GC group.
 //
 // Every mechanism can be disabled independently for the ablation bench.
 #pragma once
@@ -20,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -100,6 +102,10 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   std::uint64_t demotions() const noexcept { return demotions_; }
   std::uint64_t shadow_decisions() const noexcept { return shadow_decisions_; }
   std::uint64_t pad_decisions() const noexcept { return pad_decisions_; }
+  /// The GC groups' re-access cascades; null when demotion is disabled.
+  const ReaccessBank* reaccess() const noexcept {
+    return reaccess_ ? &*reaccess_ : nullptr;
+  }
 
  private:
   static constexpr VTime kNeverWritten = ~VTime{0};
@@ -107,7 +113,7 @@ class AdaptPolicy final : public lss::PlacementPolicy,
   AdaptConfig config_;
   lss::TraceSink* trace_ = nullptr;
   std::unique_ptr<ThresholdAdapter> adapter_;
-  std::vector<CascadeDiscriminator> discriminators_;  // one per GC group
+  std::optional<ReaccessBank> reaccess_;  // one cascade per GC group
   std::vector<VTime> last_write_;
   /// Cold-start threshold: EWMA over hot-group segment lifespans.
   double fallback_threshold_;

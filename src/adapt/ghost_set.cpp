@@ -1,5 +1,6 @@
 #include "adapt/ghost_set.h"
 
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -23,6 +24,11 @@ GhostSet::GhostSet(const GhostConfig& config, std::uint64_t threshold)
   }
   segments_.resize(static_cast<std::size_t>(slab_segments));
   ids_.resize(static_cast<std::size_t>(slab_slots));
+  bucket_words_ = static_cast<std::uint32_t>((slab_segments + 63) / 64);
+  const std::size_t buckets =
+      static_cast<std::size_t>(config_.segment_blocks) + 1;
+  buckets_.assign(buckets * bucket_words_, 0);
+  bucket_sizes_.assign(buckets, 0);
 }
 
 ADAPT_HOT void GhostSet::write(std::uint32_t id, std::uint64_t interval) {
@@ -31,9 +37,18 @@ ADAPT_HOT void GhostSet::write(std::uint32_t id, std::uint64_t interval) {
   // Invalidate the previous ghost copy, if tracked: its slot stops being
   // valid the moment append() points loc_[id] elsewhere.
   const std::uint32_t old = loc_[id];
-  if (old != kNowhere) --segments_[old / config_.segment_blocks].valid;
+  if (old != kNowhere) {
+    const std::uint32_t s = old / config_.segment_blocks;
+    Segment& seg = segments_[s];
+    if (seg.fill == config_.segment_blocks) {
+      // Sealed: the segment moves down one valid-count bucket.
+      bucket_remove(seg.valid, s);
+      bucket_add(seg.valid - 1, s);
+    }
+    --seg.valid;
+  }
   append(id, /*hot=*/interval < threshold_);
-  maybe_gc();
+  if (live_segments_ > config_.capacity_segments) maybe_gc();
 }
 
 // Outlined from write(): runs only for a never-seen id. Tracker ids are
@@ -62,32 +77,63 @@ void GhostSet::append(std::uint32_t id, bool hot) {
   loc_[id] = slot;
   ++seg.valid;
   if (++seg.fill == config_.segment_blocks) {
-    open = kNowhere;  // sealed: force a new open segment next time
+    bucket_add(seg.valid, open);  // sealed: now a GC candidate
+    open = kNowhere;  // force a new open segment next time
   }
+}
+
+ADAPT_HOT void GhostSet::bucket_add(std::uint32_t valid,
+                                    std::uint32_t s) noexcept {
+  buckets_[valid * bucket_words_ + s / 64] |= std::uint64_t{1} << (s % 64);
+  ++bucket_sizes_[valid];
+}
+
+ADAPT_HOT void GhostSet::bucket_remove(std::uint32_t valid,
+                                       std::uint32_t s) noexcept {
+  buckets_[valid * bucket_words_ + s / 64] &= ~(std::uint64_t{1} << (s % 64));
+  --bucket_sizes_[valid];
+}
+
+// The member of bucket `valid` (non-empty) with the lowest creation key.
+ADAPT_HOT std::uint32_t GhostSet::oldest_in_bucket(
+    std::uint32_t valid) const noexcept {
+  const std::uint64_t* words = buckets_.data() + valid * bucket_words_;
+  std::uint32_t victim = kNowhere;
+  std::uint64_t victim_key = kFree;
+  for (std::uint32_t w = 0; w < bucket_words_; ++w) {
+    for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t s =
+          w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+      if (segments_[s].key < victim_key) {
+        victim = s;
+        victim_key = segments_[s].key;
+      }
+    }
+  }
+  return victim;
 }
 
 ADAPT_HOT void GhostSet::maybe_gc() {
   while (live_segments_ > config_.capacity_segments) {
     // Greedy: discard the sealed segment with the fewest valid blocks; ties
     // go to the lowest (oldest) creation key.
-    std::uint32_t victim = kNowhere;
-    for (std::uint32_t s = 0; s < segments_.size(); ++s) {
-      const Segment& seg = segments_[s];
-      if (seg.key == kFree || seg.fill != config_.segment_blocks) continue;
-      if (victim == kNowhere || seg.valid < segments_[victim].valid ||
-          (seg.valid == segments_[victim].valid &&
-           seg.key < segments_[victim].key)) {
-        victim = s;
-      }
+    std::uint32_t valid = 0;
+    while (valid <= config_.segment_blocks && bucket_sizes_[valid] == 0) {
+      ++valid;
     }
-    if (victim == kNowhere) return;  // nothing sealed yet
+    if (valid > config_.segment_blocks) return;  // nothing sealed yet
+    const std::uint32_t victim = oldest_in_bucket(valid);
+    bucket_remove(valid, victim);
     // Valid blocks leave the (simulated) user groups: in the real system GC
     // would move them to GC-rewritten groups. Discard and count.
     Segment& seg = segments_[victim];
     discarded_ += seg.valid;
     const std::uint32_t first = victim * config_.segment_blocks;
-    for (std::uint32_t slot = first; slot < first + seg.fill; ++slot) {
-      if (valid_slot(slot)) loc_[ids_[slot]] = kNowhere;
+    for (std::uint32_t slot = first, left = seg.valid; left != 0; ++slot) {
+      if (valid_slot(slot)) {
+        loc_[ids_[slot]] = kNowhere;
+        --left;
+      }
     }
     seg = Segment{};
     --live_segments_;
@@ -115,6 +161,14 @@ void GhostSet::check_invariants(audit::Level level) const {
   if (live_segments_ > config_.capacity_segments) {
     fail("live segments over capacity after GC");
   }
+  std::size_t bucketed = 0;
+  for (const std::uint32_t n : bucket_sizes_) bucketed += n;
+  // Every live segment but the (at most two) open ones is sealed.
+  const std::size_t open_count = (open_[0] != kNowhere ? 1u : 0u) +
+                                 (open_[1] != kNowhere ? 1u : 0u);
+  if (bucketed + open_count != live_segments_) {
+    fail("bucketed segments != live segments that are not open");
+  }
   if (level != audit::Level::kFull) return;
 
   // Full tier: re-derive per-segment valid counts from the loc_ back
@@ -125,12 +179,22 @@ void GhostSet::check_invariants(audit::Level level) const {
     const Segment& seg = segments_[s];
     if (seg.key == kFree) {
       if (seg.fill != 0 || seg.valid != 0) fail("free segment not reset");
+      for (std::uint32_t v = 0; v <= config_.segment_blocks; ++v) {
+        if (in_bucket(v, s)) fail("free segment in a bucket");
+      }
       continue;
     }
     ++live;
     if (seg.key >= next_segment_key_) fail("segment key from the future");
     if (seg.fill < config_.segment_blocks && s != open_[0] && s != open_[1]) {
       fail("unsealed segment that is not open");
+    }
+    for (std::uint32_t v = 0; v <= config_.segment_blocks; ++v) {
+      const bool sealed_here =
+          seg.fill == config_.segment_blocks && v == seg.valid;
+      if (in_bucket(v, s) != sealed_here) {
+        fail("bucket membership differs from the sealed valid count");
+      }
     }
     std::uint32_t recount = 0;
     const std::uint32_t first = s * config_.segment_blocks;
@@ -159,11 +223,14 @@ void GhostSet::check_invariants(audit::Level level) const {
 
 std::size_t GhostSet::memory_usage_bytes() const noexcept {
   // Flat layout, all fixed-width arrays: the slab's id log (4 B per slot)
-  // and per-segment header (creation key, fill and valid counts), plus a
-  // 4 B slot index per tracked id. Sizes, not capacities, so tests can pin
-  // exact byte counts.
+  // and per-segment header (creation key, fill and valid counts), the
+  // valid-count buckets (a bitset over the slab plus a 4 B size each), and
+  // a 4 B slot index per tracked id. Sizes, not capacities, so tests can
+  // pin exact byte counts.
   return ids_.size() * sizeof(std::uint32_t) +
          segments_.size() * sizeof(Segment) +
+         buckets_.size() * sizeof(std::uint64_t) +
+         bucket_sizes_.size() * sizeof(std::uint32_t) +
          loc_.size() * sizeof(std::uint32_t);
 }
 

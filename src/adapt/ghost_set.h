@@ -14,6 +14,13 @@
 // fixed slab of capacity_segments + 2 segments holds the id logs; loc_[id]
 // is the slab slot of id's live copy. A slot is valid iff loc_ points back
 // at it, so there is no validity bitmap and invalidation is one decrement.
+//
+// Victims come from valid-count buckets: a sealed segment sits in the
+// bucket for its valid count, a bitset over slab indices, and moves down one
+// bucket when it loses a valid block. GC takes the lowest non-empty bucket
+// and, within it, the smallest creation key, so the victim is the sealed
+// segment with the fewest valid blocks, ties to the oldest — without
+// scanning the slab.
 #pragma once
 
 #include <cstddef>
@@ -74,8 +81,9 @@ class GhostSet {
   std::size_t memory_usage_bytes() const noexcept;
 
   /// Self-audit; throws std::logic_error on violation. kCounters checks the
-  /// open-segment bookkeeping in O(1); kFull re-derives every segment's
-  /// valid count and cross-checks loc_ in O(slab + tracked ids).
+  /// open-segment bookkeeping and bucket sizes in O(segment_blocks); kFull
+  /// re-derives every segment's valid count and bucket membership and
+  /// cross-checks loc_ in O(slab + tracked ids).
   void check_invariants(audit::Level level) const;
 
  private:
@@ -93,6 +101,12 @@ class GhostSet {
   void track(std::uint32_t id);
   void append(std::uint32_t id, bool hot);
   void maybe_gc();
+  std::uint32_t oldest_in_bucket(std::uint32_t valid) const noexcept;
+  void bucket_add(std::uint32_t valid, std::uint32_t s) noexcept;
+  void bucket_remove(std::uint32_t valid, std::uint32_t s) noexcept;
+  bool in_bucket(std::uint32_t valid, std::uint32_t s) const noexcept {
+    return (buckets_[valid * bucket_words_ + s / 64] >> (s % 64) & 1) != 0;
+  }
   bool valid_slot(std::uint32_t slot) const noexcept {
     return loc_[ids_[slot]] == slot;
   }
@@ -105,9 +119,14 @@ class GhostSet {
   std::uint64_t next_segment_key_ = 0;
   std::size_t live_segments_ = 0;
   std::uint32_t open_[2] = {kNowhere, kNowhere};  // hot, cold slab indices
+  std::uint32_t bucket_words_ = 0;    // words per bucket bitset
   std::vector<Segment> segments_;     // the slab: capacity_segments + 2
   std::vector<std::uint32_t> ids_;    // segment s owns [s*B, (s+1)*B)
   std::vector<std::uint32_t> loc_;    // id -> slab slot, or kNowhere
+  // Bucket v (0..B) is words [v*bucket_words_, (v+1)*bucket_words_): the
+  // sealed segments with v valid blocks. bucket_sizes_[v] counts them.
+  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint32_t> bucket_sizes_;
 };
 
 }  // namespace adapt::core

@@ -1,6 +1,7 @@
 #include "adapt/reuse_distance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,35 +17,51 @@ SpatialSampler::SpatialSampler(double rate, std::uint64_t salt)
   }
 }
 
-ReuseDistanceTracker::Interval ReuseDistanceTracker::access(
+ReuseDistanceTracker::ReuseDistanceTracker()
+    : slots_(kInitialSlots),
+      shift_(64 - static_cast<unsigned>(std::countr_zero(kInitialSlots))) {}
+
+ADAPT_HOT ReuseDistanceTracker::Interval ReuseDistanceTracker::access(
     Lba lba, std::uint64_t now) {
-  Interval interval;
-  const auto it = last_seen_.find(lba);
-  if (it != last_seen_.end()) {
-    interval.unique_distance =
-        static_cast<std::uint64_t>(marks_.suffix_sum_after(it->second.seq));
-    interval.raw_interval = now - it->second.time;
-    marks_.add(it->second.seq, -1);
-    it->second.seq = next_seq_;
-    it->second.time = now;
-    interval.id = it->second.id;
-  } else {
-    if (last_seen_.size() >= std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("ReuseDistanceTracker: dense ids exhausted");
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(lba);
+  while (slots_[i].id != kEmpty) {
+    Slot& slot = slots_[i];
+    if (slot.lba == lba) {
+      const Interval interval{now - slot.time, slot.id};
+      slot.time = now;
+      return interval;
     }
-    interval.id = static_cast<std::uint32_t>(last_seen_.size());
-    last_seen_.emplace(lba, LastSeen{next_seq_, now, interval.id});
+    i = (i + 1) & mask;
   }
-  marks_.add(next_seq_, +1);
-  ++next_seq_;
-  return interval;
+  // First access: claim the free slot the probe ended on, growing first if
+  // that would pass 3/4 load.
+  if (size_ >= kEmpty) {
+    throw std::length_error("ReuseDistanceTracker: dense ids exhausted");
+  }
+  if ((size_ + 1) * 4 > slots_.size() * 3) {
+    grow();
+    i = home(lba);
+    while (slots_[i].id != kEmpty) i = (i + 1) & (slots_.size() - 1);
+  }
+  const auto id = static_cast<std::uint32_t>(size_++);
+  slots_[i] = Slot{lba, now, id};
+  return Interval{kFirstAccess, id};
 }
 
-std::size_t ReuseDistanceTracker::memory_usage_bytes() const noexcept {
-  // Hash-map node (~36B with bucket overhead) + 4B dense id per block, and
-  // an 8B tree slot per access position retained.
-  return last_seen_.size() * (36 + sizeof(std::uint32_t)) +
-         marks_.size() * sizeof(std::int64_t);
+// Outlined from access(): doubles the table, re-placing every entry. Runs
+// only on a first access, so a warmed tracker never allocates.
+void ReuseDistanceTracker::grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id == kEmpty) continue;
+    std::size_t i = home(s.lba);
+    while (slots_[i].id != kEmpty) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
 }  // namespace adapt::core

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/annotations.h"
+
 namespace adapt::core {
 namespace {
 
@@ -41,6 +43,10 @@ ThresholdAdapter::ThresholdAdapter(const AdapterConfig& config)
   const GhostConfig geom = ghost_geometry(config_);
   ghost_capacity_blocks_ = static_cast<std::uint64_t>(geom.segment_blocks) *
                            geom.capacity_segments;
+  adoption_volume_ = std::max<std::uint64_t>(
+      static_cast<std::uint64_t>(config_.update_fraction *
+                                 static_cast<double>(config_.logical_blocks)),
+      1);
   ghosts_.reserve(config_.num_ghosts);
   for (std::uint32_t i = 0; i < config_.num_ghosts; ++i) {
     ghosts_.emplace_back(geom, 0);
@@ -75,42 +81,22 @@ void ThresholdAdapter::configure_linear(std::uint64_t lo, std::uint64_t hi) {
   sampled_since_reconfigure_ = 0;
 }
 
-bool ThresholdAdapter::on_user_write(Lba lba, VTime now) {
-  ++writes_since_adoption_;
-  if (sampler_.sampled(lba)) {
-    ++sampled_writes_;
-    const auto measured = tracker_.access(lba, now);
-    std::uint64_t interval = ReuseDistanceTracker::kFirstAccess;
-    if (config_.use_unique_distance) {
-      if (measured.unique_distance != ReuseDistanceTracker::kFirstAccess) {
-        interval = static_cast<std::uint64_t>(
-            static_cast<double>(measured.unique_distance) /
-            config_.sample_rate);
-      }
-    } else {
-      interval = measured.raw_interval;
-    }
-    for (GhostSet& g : ghosts_) g.write(measured.id, interval);
-    ++sampled_since_reconfigure_;
-  }
-
-  const auto update_volume = static_cast<std::uint64_t>(
-      config_.update_fraction * static_cast<double>(config_.logical_blocks));
-  if (writes_since_adoption_ < std::max<std::uint64_t>(update_volume, 1)) {
-    return false;
-  }
-  const std::uint64_t before = current_threshold_;
-  maybe_adopt();
-  return current_threshold_ != before;
+// Outlined from on_user_write(): runs for the sampled few percent of
+// writes only.
+ADAPT_HOT void ThresholdAdapter::on_sampled_write(Lba lba, VTime now) {
+  ++sampled_writes_;
+  const auto measured = tracker_.access(lba, now);
+  for (GhostSet& g : ghosts_) g.write(measured.id, measured.raw_interval);
+  ++sampled_since_reconfigure_;
 }
 
-void ThresholdAdapter::maybe_adopt() {
+bool ThresholdAdapter::maybe_adopt() {
   // All ghosts must have an authentic simulation (enough GC churn since the
   // last reconfiguration, and at least a full turnover of the simulated
   // capacity in sampled writes).
-  if (sampled_since_reconfigure_ < ghost_capacity_blocks_) return;
+  if (sampled_since_reconfigure_ < ghost_capacity_blocks_) return false;
   for (const GhostSet& g : ghosts_) {
-    if (!g.stable()) return;
+    if (!g.stable()) return false;
   }
   std::size_t best = 0;
   for (std::size_t i = 1; i < ghosts_.size(); ++i) {
@@ -121,6 +107,7 @@ void ThresholdAdapter::maybe_adopt() {
   // Smooth adoptions: the ghost statistics are sampled and therefore noisy;
   // moving halfway to the winner each time keeps the threshold from
   // thrashing between adjacent candidates.
+  const std::uint64_t before = current_threshold_;
   current_threshold_ =
       (current_threshold_ + ghosts_[best].threshold() + 1) / 2;
   ++adoptions_;
@@ -137,6 +124,7 @@ void ThresholdAdapter::maybe_adopt() {
     configure_linear(ghosts_[best - 1].threshold(),
                      ghosts_[best + 1].threshold());
   }
+  return current_threshold_ != before;
 }
 
 void ThresholdAdapter::check_invariants(audit::Level level) const {

@@ -1,14 +1,14 @@
 // Density-Aware Threshold Adaptation (paper §3.2).
 //
-// Sampled user writes feed a reuse-distance tracker whose scaled intervals
-// drive a bank of ghost sets, each simulating the user-written groups under
-// a different hot/cold threshold. Thresholds start on an exponentially
-// growing window (segment_size * 2^i); after the first adoption the window
-// switches to linear steps (granularity = one segment) spanning the
-// neighbours of the previous winner, and falls back to the exponential
-// window when the winner sits on the window edge (monotone WA). A new
-// configuration is adopted when the write volume since the last adoption
-// exceeds 10% of capacity and the ghosts are stable.
+// Sampled user writes feed an interval tracker whose raw write-volume
+// intervals drive a bank of ghost sets, each simulating the user-written
+// groups under a different hot/cold threshold. Thresholds start on an
+// exponentially growing window (segment_size * 2^i); after the first
+// adoption the window switches to linear steps (granularity = one segment)
+// spanning the neighbours of the previous winner, and falls back to the
+// exponential window when the winner sits on the window edge (monotone WA).
+// A new configuration is adopted when the write volume since the last
+// adoption exceeds 10% of capacity and the ghosts are stable.
 #pragma once
 
 #include <cstddef>
@@ -18,6 +18,7 @@
 #include "adapt/ghost_set.h"
 #include "adapt/reuse_distance.h"
 #include "audit/audit.h"
+#include "common/annotations.h"
 #include "common/types.h"
 
 namespace adapt::core {
@@ -39,11 +40,6 @@ struct AdapterConfig {
   /// (paper Observation 4), so the user groups see much higher GC pressure
   /// than a whole-device simulation would suggest.
   double user_capacity_fraction = 0.20;
-  /// Interval metric fed to the ghosts: raw write-volume intervals match
-  /// the unit the placement threshold is applied in; unique reuse
-  /// distances (scaled by 1/rate) follow the paper's distance-tree text
-  /// but live in a compressed unit space.
-  bool use_unique_distance = false;
 };
 
 class ThresholdAdapter {
@@ -53,7 +49,11 @@ class ThresholdAdapter {
   explicit ThresholdAdapter(const AdapterConfig& config);
 
   /// Feeds one user write. Returns true if the adopted threshold changed.
-  bool on_user_write(Lba lba, VTime now);
+  ADAPT_HOT bool on_user_write(Lba lba, VTime now) {
+    ++writes_since_adoption_;
+    if (sampler_.sampled(lba)) on_sampled_write(lba, now);
+    return writes_since_adoption_ >= adoption_volume_ && maybe_adopt();
+  }
 
   /// Currently adopted hot/cold threshold, in (estimated) blocks of access
   /// interval.
@@ -79,7 +79,10 @@ class ThresholdAdapter {
  private:
   void configure_exponential(std::uint64_t center);
   void configure_linear(std::uint64_t lo, std::uint64_t hi);
-  void maybe_adopt();
+  void on_sampled_write(Lba lba, VTime now);
+  /// Adopts the best ghost's threshold once every ghost is stable; returns
+  /// true if the adopted threshold changed.
+  bool maybe_adopt();
 
   AdapterConfig config_;
   SpatialSampler sampler_;
@@ -91,6 +94,9 @@ class ThresholdAdapter {
   std::uint64_t sampled_writes_ = 0;
   std::uint64_t sampled_since_reconfigure_ = 0;
   std::uint64_t ghost_capacity_blocks_ = 0;
+  /// Writes between adoption attempts: update_fraction of the logical
+  /// capacity, at least 1.
+  std::uint64_t adoption_volume_ = 1;
   std::uint64_t adoptions_ = 0;
 };
 

@@ -72,6 +72,11 @@ template <typename Fn>
 void ShardedEngine::for_each_subspan(Lba lba, std::uint32_t blocks,
                                      Fn&& fn) const {
   const auto n = static_cast<std::uint32_t>(shards_.size());
+  if (n == 1) {
+    // One shard owns the whole span: skip the modular split.
+    if (blocks > 0) fn(0, lba, blocks);
+    return;
+  }
   const auto first_shard = static_cast<std::uint32_t>(lba % n);
   for (std::uint32_t s = 0; s < n; ++s) {
     // Offset within the span of the first block landing on shard s.

@@ -1,10 +1,12 @@
-// Tests for the ADAPT core: Bloom cascade, spatial sampling,
-// reuse-distance tracking, ghost sets, threshold adaptation, and the
-// AdaptPolicy placement/aggregation logic (including engine integration of
-// shadow append / lazy append).
+// Tests for the ADAPT core: Bloom filters and the bit-sliced re-access
+// bank, spatial sampling, interval tracking, ghost sets, threshold
+// adaptation, and the AdaptPolicy placement/aggregation logic (including
+// engine integration of shadow append / lazy append).
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -67,83 +69,243 @@ TEST(BloomTest, EmptyContainsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// CascadeDiscriminator
+// FastMod64 / ReaccessBank probe
 // ---------------------------------------------------------------------------
 
-TEST(CascadeTest, ScoreCountsFilters) {
-  CascadeDiscriminator d(4, 10);
-  d.insert(42);
-  EXPECT_EQ(d.score(42), 1u);
-  // Fill the first filter so a new one opens, then insert again.
-  for (Lba lba = 100; lba < 110; ++lba) d.insert(lba);
-  d.insert(42);
-  EXPECT_GE(d.score(42), 2u);
-}
-
-TEST(CascadeTest, FifoEviction) {
-  CascadeDiscriminator d(2, 4);
-  d.insert(7);  // filter 0
-  for (Lba lba = 100; lba < 104; ++lba) d.insert(lba);  // fills 0, opens 1
-  for (Lba lba = 200; lba < 204; ++lba) d.insert(lba);  // fills 1, opens 2
-  d.check_invariants(audit::Level::kCounters);
-  // Max 2 filters: filter 0 (containing 7) must have been evicted by now.
-  for (Lba lba = 300; lba < 304; ++lba) d.insert(lba);
-  EXPECT_LE(d.filter_count(), 2u);
-  EXPECT_EQ(d.score(7), 0u);
-  d.check_invariants(audit::Level::kFull);
-}
-
-TEST(CascadeTest, ScoreBoundedByMaxFilters) {
-  CascadeDiscriminator d(3, 2);
-  for (int round = 0; round < 10; ++round) {
-    d.insert(5);
-    d.insert(static_cast<Lba>(round + 100));
-  }
-  EXPECT_LE(d.score(5), 3u);
-}
-
-TEST(CascadeTest, MemoryIsBounded) {
-  CascadeDiscriminator d(2, 100);
-  for (Lba lba = 0; lba < 10000; ++lba) {
-    d.insert(lba);
-    if (lba % 512 == 0) d.check_invariants(audit::Level::kCounters);
-  }
-  EXPECT_LE(d.filter_count(), 2u);
-  EXPECT_LE(d.memory_usage_bytes(), 2u * 100 * 10 / 8 + 64);
-  EXPECT_EQ(d.total_inserted(), 10000u);
-  d.check_invariants(audit::Level::kFull);
-}
-
-TEST(CascadeTest, HashOnceScoreMatchesPerFilterLookups) {
-  // AdaptPolicy hashes an LBA once and tests that probe against every
-  // filter of all four GC-group cascades. That is only sound because equal
-  // capacities give equal bit counts: the shared-probe score must equal
-  // the per-filter maybe_contains() count, for LBAs inserted and not.
-  Rng rng(137);
-  std::vector<CascadeDiscriminator> cascades(4, CascadeDiscriminator(4, 64));
-  std::vector<Lba> inserted;
-  for (int i = 0; i < 3000; ++i) {
-    const Lba lba = rng.below(1u << 20);
-    cascades[rng.below(cascades.size())].insert(lba);
-    inserted.push_back(lba);
-  }
-  std::uint64_t hits = 0;
-  for (int i = 0; i < 6000; ++i) {
-    const Lba lba = i % 2 == 0 ? inserted[rng.below(inserted.size())]
-                               : rng.below(1u << 20);
-    const BloomProbe probe = cascades.front().probe(lba);
-    for (const CascadeDiscriminator& c : cascades) {
-      std::uint32_t expected = 0;
-      for (const BloomFilter& f : c.filters()) {
-        if (f.maybe_contains(lba)) ++expected;
-      }
-      ASSERT_EQ(c.score(probe), expected) << "lba " << lba;
-      ASSERT_EQ(c.score(lba), expected) << "lba " << lba;
-      hits += expected;
+TEST(FastModTest, MatchesModuloOnEdgeValues) {
+  const std::uint64_t divisors[] = {1,  2,  3,   63,         64,
+                                    65, 640, 10240, 64000000, 0xffffffffull,
+                                    (1ull << 63) + 1, ~std::uint64_t{0}};
+  Rng rng(149);
+  for (const std::uint64_t d : divisors) {
+    const FastMod64 mod(d);
+    const std::uint64_t xs[] = {0, 1, d - 1, d, d + 1, 2 * d - 1, 2 * d,
+                                ~std::uint64_t{0}, ~std::uint64_t{0} - 1,
+                                std::uint64_t{1} << 63};
+    for (const std::uint64_t x : xs) ASSERT_EQ(mod(x), x % d) << x << " " << d;
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t x = rng();
+      ASSERT_EQ(mod(x), x % d) << x << " " << d;
     }
   }
-  EXPECT_GT(hits, 0u);  // the inserted half must actually score
 }
+
+TEST(FastModTest, DoubleHashPositionsMatchModulo) {
+  // The exact positions the bank computes, (h1 + i*h2) mod 2^64, reduced
+  // by the stored reciprocal, against `%`: the bit counts of capacities 6,
+  // 64 and 1024 (the default) and a large multiple of 64.
+  for (const std::uint64_t bits : {std::uint64_t{64}, std::uint64_t{640},
+                                   std::uint64_t{10240},
+                                   std::uint64_t{64} * 1000003}) {
+    const FastMod64 mod(bits);
+    for (Lba lba = 0; lba < 1'000'000; ++lba) {
+      std::uint64_t h1 = 0;
+      std::uint64_t h2 = 0;
+      BloomFilter::hashes(lba * 0x10001, h1, h2);
+      for (std::uint64_t i = 0; i < BloomProbe::kHashes; ++i) {
+        ASSERT_EQ(mod(h1 + i * h2), (h1 + i * h2) % bits)
+            << "lba " << lba << " bits " << bits;
+      }
+    }
+  }
+}
+
+TEST(FastModTest, BankProbeMatchesFilterProbe) {
+  for (const std::uint32_t capacity : {1u, 6u, 64u, 1024u, 5000u}) {
+    const ReaccessBank bank(4, 4, capacity);
+    ASSERT_EQ(bank.bit_count(), BloomFilter::bit_count_for(capacity));
+    for (Lba lba = 0; lba < 200'000; ++lba) {
+      const Lba key = lba * 0x9e3779b9u;
+      const BloomProbe got = bank.probe(key);
+      const BloomProbe want = BloomFilter::probe(key, bank.bit_count());
+      ASSERT_EQ(got.bit_count, want.bit_count);
+      for (std::uint32_t i = 0; i < BloomProbe::kHashes; ++i) {
+        ASSERT_EQ(got.bits[i], want.bits[i]) << "lba " << key;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ReaccessBank
+// ---------------------------------------------------------------------------
+
+TEST(ReaccessBankTest, ScoreCountsFilters) {
+  ReaccessBank d(1, 4, 10);
+  d.insert(0, 42);
+  EXPECT_EQ(d.score(d.hits(d.probe(42)), 0), 1u);
+  // Fill the first filter so a new one opens, then insert again.
+  for (Lba lba = 100; lba < 110; ++lba) d.insert(0, lba);
+  d.insert(0, 42);
+  EXPECT_GE(d.score(d.hits(d.probe(42)), 0), 2u);
+  d.check_invariants(audit::Level::kFull);
+}
+
+TEST(ReaccessBankTest, FifoEviction) {
+  ReaccessBank d(1, 2, 4);
+  d.insert(0, 7);  // filter 0
+  for (Lba lba = 100; lba < 104; ++lba) d.insert(0, lba);  // fills 0, opens 1
+  for (Lba lba = 200; lba < 204; ++lba) d.insert(0, lba);  // fills 1, opens 2
+  d.check_invariants(audit::Level::kCounters);
+  // Max 2 filters: filter 0 (containing 7) must have been evicted by now.
+  for (Lba lba = 300; lba < 304; ++lba) d.insert(0, lba);
+  EXPECT_LE(d.filter_count(0), 2u);
+  EXPECT_EQ(d.score(d.hits(d.probe(7)), 0), 0u);
+  d.check_invariants(audit::Level::kFull);
+}
+
+TEST(ReaccessBankTest, ScoreBoundedByMaxFilters) {
+  ReaccessBank d(1, 3, 2);
+  for (int round = 0; round < 10; ++round) {
+    d.insert(0, 5);
+    d.insert(0, static_cast<Lba>(round + 100));
+  }
+  EXPECT_LE(d.score(d.hits(d.probe(5)), 0), 3u);
+  EXPECT_EQ(d.score(~std::uint64_t{0}, 0), 3u);
+}
+
+TEST(ReaccessBankTest, GroupsDoNotShareBits) {
+  ReaccessBank d(4, 4, 8);
+  d.insert(2, 42);
+  const std::uint64_t hits = d.hits(d.probe(42));
+  EXPECT_EQ(d.score(hits, 0), 0u);
+  EXPECT_EQ(d.score(hits, 1), 0u);
+  EXPECT_EQ(d.score(hits, 2), 1u);
+  EXPECT_EQ(d.score(hits, 3), 0u);
+  EXPECT_EQ(d.total_inserted(2), 1u);
+  EXPECT_EQ(d.total_inserted(0), 0u);
+}
+
+// The bank is one word per bit position, as wide as groups x filters per
+// group rounded up to 8, 16, 32 or 64 bits, and allocated up front: the
+// defaults (4 groups x 4 filters of 1024) are 10240 positions x 2 B =
+// 20 KiB, the same as 16 full 1280 B filters.
+TEST(ReaccessBankTest, WordWidthFollowsColumnCount) {
+  EXPECT_EQ(ReaccessBank(1, 1, 64).word_bytes(), 1u);
+  EXPECT_EQ(ReaccessBank(2, 4, 64).word_bytes(), 1u);
+  EXPECT_EQ(ReaccessBank(3, 3, 64).word_bytes(), 2u);
+  EXPECT_EQ(ReaccessBank(4, 4, 64).word_bytes(), 2u);
+  EXPECT_EQ(ReaccessBank(5, 5, 64).word_bytes(), 4u);
+  EXPECT_EQ(ReaccessBank(4, 16, 64).word_bytes(), 8u);
+  EXPECT_EQ(ReaccessBank(1, 64, 64).word_bytes(), 8u);
+  EXPECT_EQ(ReaccessBank(4, 4, 1024).memory_usage_bytes(), 20480u);
+  EXPECT_EQ(ReaccessBank(1, 8, 1024).memory_usage_bytes(), 10240u);
+  EXPECT_THROW(ReaccessBank(5, 13, 64), std::invalid_argument);
+  EXPECT_THROW(ReaccessBank(1, 65, 64), std::invalid_argument);
+}
+
+TEST(ReaccessBankTest, MemoryIsBoundedAndStable) {
+  ReaccessBank d(1, 2, 100);
+  const std::size_t bytes = d.memory_usage_bytes();
+  EXPECT_EQ(bytes, BloomFilter::bit_count_for(100) * 1);
+  for (Lba lba = 0; lba < 10000; ++lba) {
+    d.insert(0, lba);
+    if (lba % 512 == 0) d.check_invariants(audit::Level::kCounters);
+  }
+  EXPECT_EQ(d.filter_count(0), 2u);
+  EXPECT_EQ(d.memory_usage_bytes(), bytes);
+  EXPECT_EQ(d.total_inserted(0), 10000u);
+  d.check_invariants(audit::Level::kFull);
+}
+
+/// Reference model: one FIFO cascade of BloomFilter objects per group, the
+/// layout the bank replaced.
+class CascadeModel {
+ public:
+  CascadeModel(std::uint32_t groups, std::uint32_t filters,
+               std::uint32_t capacity)
+      : filters_(filters), capacity_(capacity), cascades_(groups) {}
+
+  void insert(std::uint32_t group, Lba lba) {
+    std::deque<BloomFilter>& c = cascades_[group];
+    if (c.empty() || c.back().full()) {
+      if (c.size() == filters_) c.pop_front();
+      c.emplace_back(capacity_);
+    }
+    c.back().insert(lba);
+  }
+
+  std::uint32_t score(std::uint32_t group, Lba lba) const {
+    std::uint32_t s = 0;
+    for (const BloomFilter& f : cascades_[group]) {
+      if (f.maybe_contains(lba)) ++s;
+    }
+    return s;
+  }
+
+  std::size_t filter_count(std::uint32_t group) const {
+    return cascades_[group].size();
+  }
+
+ private:
+  std::uint32_t filters_;
+  std::uint32_t capacity_;
+  std::vector<std::deque<BloomFilter>> cascades_;
+};
+
+struct BankGeometry {
+  std::uint32_t groups;
+  std::uint32_t filters;
+  std::uint32_t capacity;
+};
+
+class ReaccessBankReferenceTest
+    : public ::testing::TestWithParam<BankGeometry> {};
+
+TEST_P(ReaccessBankReferenceTest, EqualsFifoCascadesOfBloomFilters) {
+  const BankGeometry geo = GetParam();
+  ReaccessBank bank(geo.groups, geo.filters, geo.capacity);
+  CascadeModel model(geo.groups, geo.filters, geo.capacity);
+  Rng rng(151 + geo.capacity);
+  // Enough random inserts that every group opens >= 3 full rings of
+  // filters, i.e. rotates through its FIFO at least three times.
+  const std::uint64_t per_group =
+      4ull * geo.filters * geo.capacity + geo.capacity / 2 + 1;
+  const std::uint64_t inserts = per_group * geo.groups;
+  const Lba space = std::max<Lba>(4 * geo.capacity * geo.filters, 64);
+  std::vector<Lba> inserted;
+  std::uint64_t scored_hits = 0;
+  const auto compare = [&](Lba lba) {
+    const std::uint64_t hits = bank.hits(bank.probe(lba));
+    for (std::uint32_t g = 0; g < geo.groups; ++g) {
+      const std::uint32_t want = model.score(g, lba);
+      ASSERT_EQ(bank.score(hits, g), want) << "group " << g << " lba " << lba;
+      scored_hits += want;
+    }
+  };
+  std::vector<std::uint64_t> per_group_inserts(geo.groups, 0);
+  for (std::uint64_t i = 0; i < inserts; ++i) {
+    // Random group, but never let one group run far ahead of the others.
+    auto g = static_cast<std::uint32_t>(rng.below(geo.groups));
+    while (per_group_inserts[g] >= per_group) g = (g + 1) % geo.groups;
+    ++per_group_inserts[g];
+    const Lba lba = rng.below(space);
+    bank.insert(g, lba);
+    model.insert(g, lba);
+    inserted.push_back(lba);
+    if (i % 7 == 0) {
+      compare(inserted[rng.below(inserted.size())]);  // likely present
+      compare(space + rng.below(1u << 30));           // never inserted
+    }
+    if (i % 997 == 0) bank.check_invariants(audit::Level::kFull);
+  }
+  for (std::uint32_t g = 0; g < geo.groups; ++g) {
+    EXPECT_EQ(bank.filter_count(g), model.filter_count(g));
+    EXPECT_EQ(bank.total_inserted(g), per_group);
+  }
+  EXPECT_GT(scored_hits, 0u);  // the inserted half must actually score
+  bank.check_invariants(audit::Level::kFull);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ReaccessBankReferenceTest,
+    ::testing::Values(BankGeometry{4, 4, 1},     // DemotionRequiresScore...
+                      BankGeometry{4, 4, 16},    // default shape, small
+                      BankGeometry{4, 4, 64},
+                      BankGeometry{2, 3, 5},     // 8-bit words
+                      BankGeometry{5, 5, 8},     // 32-bit words
+                      BankGeometry{8, 8, 4},     // 64-bit words, all used
+                      BankGeometry{1, 1, 32}));  // a lone filter
 
 // ---------------------------------------------------------------------------
 // SpatialSampler
@@ -183,33 +345,17 @@ TEST(SamplerTest, DecisionIsStablePerLba) {
 TEST(ReuseDistanceTest, FirstAccessHasNoHistory) {
   ReuseDistanceTracker t;
   const auto i = t.access(5, 100);
-  EXPECT_EQ(i.unique_distance, ReuseDistanceTracker::kFirstAccess);
   EXPECT_EQ(i.raw_interval, ReuseDistanceTracker::kFirstAccess);
+  EXPECT_EQ(i.id, 0u);
 }
 
-TEST(ReuseDistanceTest, ImmediateReuseIsZeroDistance) {
+TEST(ReuseDistanceTest, ReuseReportsRawInterval) {
   ReuseDistanceTracker t;
   t.access(5, 0);
-  const auto i = t.access(5, 3);
-  EXPECT_EQ(i.unique_distance, 0u);
-  EXPECT_EQ(i.raw_interval, 3u);
-}
-
-TEST(ReuseDistanceTest, CountsDistinctIntervening) {
-  ReuseDistanceTracker t;
-  t.access(1, 0);
-  t.access(2, 1);
-  t.access(3, 2);
-  t.access(2, 3);  // 2 again: only {3} since -> distance 1
-  EXPECT_EQ(t.access(2, 4).unique_distance, 0u);
-  EXPECT_EQ(t.access(1, 5).unique_distance, 2u);  // {2,3} since t=0
-}
-
-TEST(ReuseDistanceTest, RepeatsDontInflateDistance) {
-  ReuseDistanceTracker t;
-  t.access(1, 0);
-  for (int i = 1; i <= 10; ++i) t.access(2, i);  // one distinct block
-  EXPECT_EQ(t.access(1, 11).unique_distance, 1u);
+  EXPECT_EQ(t.access(5, 3).raw_interval, 3u);
+  EXPECT_EQ(t.access(5, 3).raw_interval, 0u);  // same clock tick
+  t.access(6, 10);
+  EXPECT_EQ(t.access(5, 12).raw_interval, 9u);
 }
 
 TEST(ReuseDistanceTest, DenseIdsFollowFirstAccessOrder) {
@@ -222,28 +368,74 @@ TEST(ReuseDistanceTest, DenseIdsFollowFirstAccessOrder) {
   EXPECT_EQ(t.tracked_blocks(), 3u);
 }
 
-TEST(ReuseDistanceTest, MatchesNaiveOnRandomSequence) {
+TEST(ReuseDistanceTest, AnyLbaValueIsAKey) {
+  // Free slots are marked by their id, so no LBA value is reserved.
   ReuseDistanceTracker t;
-  Rng rng(107);
-  std::unordered_map<Lba, std::size_t> last_pos;
-  std::vector<Lba> sequence;
-  for (int i = 0; i < 3000; ++i) {
-    const Lba lba = rng.below(64);
-    const auto measured = t.access(lba, i);
-    if (last_pos.contains(lba)) {
-      std::set<Lba> seen;
-      for (std::size_t p = last_pos[lba] + 1; p < sequence.size(); ++p) {
-        seen.insert(sequence[p]);
-      }
-      ASSERT_EQ(measured.unique_distance, seen.size()) << "at step " << i;
+  EXPECT_EQ(t.access(0, 1).id, 0u);
+  EXPECT_EQ(t.access(kInvalidLba, 2).id, 1u);
+  EXPECT_EQ(t.access(0, 5).raw_interval, 4u);
+  EXPECT_EQ(t.access(kInvalidLba, 7).raw_interval, 5u);
+}
+
+TEST(ReuseDistanceTest, MatchesMapModelAcrossGrowths) {
+  // The flat table against a std::map model: every access's id and
+  // interval, through many doublings of the table. Keys mix a dense range
+  // (probe clusters), fibonacci-colliding strides and arbitrary 64-bit
+  // values.
+  struct Last {
+    std::uint64_t time;
+    std::uint32_t id;
+  };
+  ReuseDistanceTracker t;
+  std::map<Lba, Last> model;
+  Rng rng(157);
+  std::vector<Lba> keys;
+  for (Lba i = 0; i < 3000; ++i) keys.push_back(i);
+  for (Lba i = 1; i <= 2000; ++i) keys.push_back(i << 52);
+  for (int i = 0; i < 3000; ++i) keys.push_back(rng());
+  std::size_t growths = 0;
+  std::size_t slots = t.slot_count();
+  for (std::uint64_t now = 0; now < 200000; ++now) {
+    // Skew toward re-accesses once the table is populated.
+    const std::size_t reach = std::min<std::size_t>(
+        keys.size(), 16 + static_cast<std::size_t>(now / 16));
+    const Lba lba = keys[rng.below(reach)];
+    const auto got = t.access(lba, now);
+    const auto it = model.find(lba);
+    if (it == model.end()) {
+      ASSERT_EQ(got.raw_interval, ReuseDistanceTracker::kFirstAccess);
+      ASSERT_EQ(got.id, model.size());
+      model.emplace(lba, Last{now, got.id});
     } else {
-      ASSERT_EQ(measured.unique_distance,
-                ReuseDistanceTracker::kFirstAccess);
+      ASSERT_EQ(got.raw_interval, now - it->second.time) << "at " << now;
+      ASSERT_EQ(got.id, it->second.id) << "at " << now;
+      it->second.time = now;
     }
-    last_pos[lba] = sequence.size();
-    sequence.push_back(lba);
+    if (t.slot_count() != slots) {
+      ++growths;
+      slots = t.slot_count();
+      // Insert-only table: at most 3/4 full right after each growth.
+      ASSERT_LE(t.tracked_blocks() * 4, slots * 3);
+    }
   }
-  EXPECT_EQ(t.tracked_blocks(), last_pos.size());
+  EXPECT_EQ(t.tracked_blocks(), model.size());
+  EXPECT_EQ(model.size(), std::set<Lba>(keys.begin(), keys.end()).size());
+  EXPECT_GE(growths, 3u);
+}
+
+// Memory follows the sampled blocks, never the access count: each slot is
+// {8 B lba, 8 B time, 4 B id} padded to 24 B, and the table doubles from
+// 16 slots whenever an insert would pass 3/4 load.
+TEST(ReuseDistanceTest, MemoryBoundedBySampledBlocks) {
+  ReuseDistanceTracker t;
+  EXPECT_EQ(t.memory_usage_bytes(), 16u * 24);
+  for (Lba lba = 0; lba < 12; ++lba) t.access(lba, lba);
+  EXPECT_EQ(t.memory_usage_bytes(), 16u * 24);  // 12 = 3/4 of 16
+  t.access(12, 12);
+  EXPECT_EQ(t.memory_usage_bytes(), 32u * 24);
+  // A million more accesses to the same 13 blocks cost nothing.
+  for (std::uint64_t now = 13; now < 1'000'013; ++now) t.access(now % 13, now);
+  EXPECT_EQ(t.memory_usage_bytes(), 32u * 24);
 }
 
 // ---------------------------------------------------------------------------
@@ -307,14 +499,18 @@ TEST(GhostSetTest, SegmentCountBounded) {
 // holds 6 + 2 = 8 segments; 20 distinct ids (0-19) are tracked.
 //   slab id log:      8 segments * 4 slots * 4 B (uint32 id) = 128
 //   segment headers:  8 * 16 B (8 B key + 4 B fill + 4 B valid) = 128
+//   buckets:          5 valid counts (0-4) * 1 word (8 slab
+//                     segments fit one 64-bit word) * 8 B       =  40
+//   bucket sizes:     5 * 4 B                                   =  20
 //   loc_ (id -> slot): 20 ids * 4 B                              =  80
-//   total: 128 + 128 + 80 = 336
-// (The hash-map layout it replaced modelled 1285 B for the same scenario.)
+//   total: 128 + 128 + 40 + 20 + 80 = 396
+// (The hash-map layout the slab replaced modelled 1285 B for the same
+// scenario.)
 TEST(GhostSetTest, MemoryAccountsForBitmapsAndSegmentOverhead) {
   GhostSet g(tiny_ghost(), 100);
   for (std::uint32_t id = 0; id < 20; ++id) g.write(id, 1000);
   ASSERT_EQ(g.segment_count(), 5u);
-  EXPECT_EQ(g.memory_usage_bytes(), 336u);
+  EXPECT_EQ(g.memory_usage_bytes(), 396u);
 }
 
 TEST(GhostSetTest, DiscardAccountingIsExact) {
@@ -417,6 +613,118 @@ TEST(GhostSetTest, DifferentThresholdsDifferentPlacements) {
   degenerate.check_invariants(audit::Level::kFull);
 }
 
+/// Brute-force reference ghost: the same layout rules on ordinary
+/// containers, with the victim found by scanning every sealed segment for
+/// the fewest valid blocks, ties to the oldest.
+class ScanGhost {
+ public:
+  ScanGhost(std::uint32_t segment_blocks, std::uint32_t capacity,
+            std::uint64_t threshold)
+      : b_(segment_blocks), capacity_(capacity), threshold_(threshold) {}
+
+  void write(std::uint32_t id, std::uint64_t interval) {
+    ++written_;
+    if (const auto it = loc_.find(id); it != loc_.end()) {
+      Seg& seg = segs_.at(it->second);
+      seg.live.erase(id);
+    }
+    std::uint64_t& open = open_[interval < threshold_ ? 0 : 1];
+    if (open == kNone) {
+      open = next_key_++;
+      segs_.emplace(open, Seg{});
+    }
+    Seg& seg = segs_.at(open);
+    seg.live.insert(id);
+    loc_[id] = open;
+    if (++seg.fill == b_) {
+      seg.sealed = true;
+      open = kNone;
+    }
+    while (segs_.size() > capacity_) {
+      std::uint64_t victim = kNone;
+      for (const auto& [key, s] : segs_) {  // ascending key
+        if (!s.sealed) continue;
+        if (victim == kNone || s.live.size() < segs_.at(victim).live.size()) {
+          victim = key;
+        }
+      }
+      if (victim == kNone) return;
+      const Seg& dead = segs_.at(victim);
+      discarded_ += dead.live.size();
+      for (const std::uint32_t gone : dead.live) loc_.erase(gone);
+      segs_.erase(victim);
+      ++gc_runs_;
+    }
+  }
+
+  std::uint64_t written() const { return written_; }
+  std::uint64_t discarded() const { return discarded_; }
+  std::uint64_t gc_runs() const { return gc_runs_; }
+
+ private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  struct Seg {
+    std::set<std::uint32_t> live;
+    std::uint32_t fill = 0;
+    bool sealed = false;
+  };
+  std::uint32_t b_;
+  std::uint32_t capacity_;
+  std::uint64_t threshold_;
+  std::uint64_t next_key_ = 0;
+  std::uint64_t open_[2] = {kNone, kNone};
+  std::map<std::uint64_t, Seg> segs_;
+  std::map<std::uint32_t, std::uint64_t> loc_;
+  std::uint64_t written_ = 0;
+  std::uint64_t discarded_ = 0;
+  std::uint64_t gc_runs_ = 0;
+};
+
+TEST(GhostSetTest, BucketedVictimsMatchScanReference) {
+  // The cloud replay's ghost geometries: 8-32-block segments, 32-128
+  // segment budgets. Random streams mix a hot id range written with short
+  // intervals, a warm range around the threshold and a cold write-once
+  // tail, so victims come from many different buckets and ties are common.
+  const std::pair<std::uint32_t, std::uint32_t> geometries[] = {
+      {8, 32}, {10, 34}, {16, 64}, {24, 100}, {32, 104}, {32, 128}};
+  std::uint64_t seed = 163;
+  for (const auto& [blocks, capacity] : geometries) {
+    const std::uint64_t threshold = 4ull * blocks * capacity;
+    const GhostConfig config{.segment_blocks = blocks,
+                             .capacity_segments = capacity};
+    GhostSet ghost(config, threshold);
+    ScanGhost reference(blocks, capacity, threshold);
+    Rng rng(seed++);
+    const std::uint32_t live_ids = 2 * blocks * capacity;
+    std::uint32_t cold = live_ids;
+    for (int i = 0; i < 60000; ++i) {
+      std::uint32_t id = 0;
+      std::uint64_t interval = 0;
+      const std::uint64_t roll = rng.below(10);
+      if (roll < 5) {
+        id = static_cast<std::uint32_t>(rng.below(live_ids / 8));
+        interval = rng.below(threshold);
+      } else if (roll < 8) {
+        id = static_cast<std::uint32_t>(rng.below(live_ids));
+        interval = rng.below(2 * threshold);
+      } else {
+        id = cold++;
+        interval = ReuseDistanceTracker::kFirstAccess;
+      }
+      ghost.write(id, interval);
+      reference.write(id, interval);
+      ASSERT_EQ(ghost.discarded(), reference.discarded())
+          << "segment " << blocks << " capacity " << capacity << " at " << i;
+      ASSERT_EQ(ghost.gc_runs(), reference.gc_runs())
+          << "segment " << blocks << " capacity " << capacity << " at " << i;
+      if (i % 4096 == 0) ghost.check_invariants(audit::Level::kFull);
+    }
+    EXPECT_GT(ghost.gc_runs(), 100u);
+    EXPECT_GT(ghost.discarded(), 0u);
+    ghost.check_invariants(audit::Level::kFull);
+  }
+}
+
 TEST(GhostSetTest, SetThresholdResetsMetrics) {
   GhostSet g(tiny_ghost(), 100);
   for (std::uint32_t id = 0; id < 100; ++id) g.write(id, 1000000);
@@ -512,11 +820,27 @@ TEST(ThresholdAdapterTest, RelabellingLbasLeavesEveryGhostUnchanged) {
   EXPECT_GT(plain.ghosts().front().gc_runs(), 0u);
 }
 
+// small_adapter() samples every block (rate 1) into 5 ghosts of 64-block
+// segments with a 16-segment budget (4096 * 1.25 * 0.20 / 64), so each
+// slab holds 18 segments. Per ghost, before any write:
+//   slab id log:     18 * 64 slots * 4 B                 = 4608
+//   segment headers: 18 * 16 B                           =  288
+//   buckets:         65 valid counts * 1 word * 8 B      =  520
+//   bucket sizes:    65 * 4 B                            =  260
+//                                                          5676
+// and the tracker's 16 initial 24 B slots are 384 B: 5 * 5676 + 384 =
+// 28764. 1000 distinct LBAs then add a 4 B loc_ entry per id to every
+// ghost (5 * 4000) and grow the tracker to the first power of two whose
+// 3/4 holds 1000 entries, 2048 slots (49152 B): 5 * 9676 + 49152 = 97532.
+// Repeating those LBAs adds nothing: memory follows sampled blocks, not
+// accesses.
 TEST(ThresholdAdapterTest, MemoryGrowsWithTracking) {
   ThresholdAdapter a(small_adapter());
-  const std::size_t before = a.memory_usage_bytes();
+  EXPECT_EQ(a.memory_usage_bytes(), 28764u);
   for (Lba lba = 0; lba < 1000; ++lba) a.on_user_write(lba, lba);
-  EXPECT_GT(a.memory_usage_bytes(), before);
+  EXPECT_EQ(a.memory_usage_bytes(), 97532u);
+  for (Lba lba = 0; lba < 5000; ++lba) a.on_user_write(lba % 1000, 1000 + lba);
+  EXPECT_EQ(a.memory_usage_bytes(), 97532u);
   a.check_invariants(audit::Level::kFull);
 }
 
@@ -838,12 +1162,32 @@ TEST(AggregationWrapperTest, ShadowsThroughTheEngine) {
   engine.check_invariants();
 }
 
+// The policy's memory is its per-LBA last-write times plus its two
+// components, all sized up front, at the engine fixture's geometry (1024
+// LBAs, 8-block segments, over-provision 0.25):
+//   last_write_:  1024 LBAs * 8 B                                = 8192
+//   re-access bank: 4 groups * 4 filters = 16 columns -> 2 B words,
+//                 times 10240 bit positions (capacity 1024)       = 20480
+//   adapter: the sample rate auto-sizes to 1, so each of 7 ghosts has
+//     8-block segments and a 32-segment budget (1024 * 1.25 * 0.20 / 8):
+//     34 slab segments * 8 slots * 4 B = 1088, 34 headers * 16 B = 544,
+//     9 buckets * 8 B = 72 and 9 sizes * 4 B = 36, i.e. 1740 per ghost;
+//     plus 16 tracker slots * 24 B = 384             -> 7 * 1740 + 384 = 12564
 TEST(AdaptEngineTest, MemoryAccountingCoversComponents) {
   AdaptConfig ac;
+  ac.logical_blocks = engine_config().logical_blocks;
+  ac.segment_blocks = engine_config().segment_blocks();
+  ac.chunk_blocks = engine_config().chunk_blocks;
   ac.enable_threshold_adaptation = true;
-  AdaptEngine f(ac);
-  const std::size_t base = f.policy.memory_usage_bytes();
-  EXPECT_GE(base, engine_config().logical_blocks * sizeof(VTime));
+  AdaptPolicy p(ac);
+  ASSERT_NE(p.adapter(), nullptr);
+  ASSERT_NE(p.reaccess(), nullptr);
+  EXPECT_EQ(p.reaccess()->memory_usage_bytes(), 20480u);
+  EXPECT_EQ(p.adapter()->memory_usage_bytes(), 12564u);
+  EXPECT_EQ(p.memory_usage_bytes(), 8192u + 20480u + 12564u);
+  ac.enable_proactive_demotion = false;
+  ac.enable_threshold_adaptation = false;
+  EXPECT_EQ(AdaptPolicy(ac).memory_usage_bytes(), 8192u);
 }
 
 }  // namespace
