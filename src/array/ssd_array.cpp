@@ -1,6 +1,5 @@
 #include "array/ssd_array.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace adapt::array {
@@ -18,14 +17,12 @@ SsdArray::SsdArray(const SsdArrayConfig& config)
   }
   devices_.reserve(config.num_devices);
   for (std::uint32_t i = 0; i < config.num_devices; ++i) {
-    devices_.push_back(std::make_unique<SsdDevice>(SsdDeviceConfig{
-        .num_streams = config.num_streams,
-        .bandwidth_mb_per_s = config.device_bandwidth_mb_per_s,
-    }));
+    devices_.push_back(std::make_unique<SsdDevice>(
+        SsdDeviceConfig{.num_streams = config.num_streams}));
   }
 }
 
-TimeUs SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
+void SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
   if (stream >= config_.num_streams) {
     throw std::out_of_range("stream index out of range");
   }
@@ -49,7 +46,7 @@ TimeUs SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
   std::uint32_t dev = col;
   if (dev >= parity_dev) dev += 1;  // skip the parity device
 
-  TimeUs latency = devices_[dev]->write(stream, config_.chunk_bytes);
+  devices_[dev]->write(stream, config_.chunk_bytes);
 
   stripe_cursor_[stream] = col + 1;
   if (stripe_cursor_[stream] == columns) {
@@ -57,13 +54,11 @@ TimeUs SsdArray::write_chunk(std::uint32_t stream, std::uint64_t data_bytes) {
     stripe_cursor_[stream] = 0;
     stripe_index_[stream] += 1;
     stats.parity_bytes += config_.chunk_bytes;
-    latency = std::max(latency,
-                       devices_[parity_dev]->write(stream, config_.chunk_bytes));
+    devices_[parity_dev]->write(stream, config_.chunk_bytes);
   }
-  return latency;
 }
 
-TimeUs SsdArray::write_partial(std::uint32_t stream,
+void SsdArray::write_partial(std::uint32_t stream,
                                std::uint64_t data_bytes) {
   if (stream >= config_.num_streams) {
     throw std::out_of_range("stream index out of range");
@@ -81,7 +76,7 @@ TimeUs SsdArray::write_partial(std::uint32_t stream,
   const std::uint32_t dev = static_cast<std::uint32_t>(
       (stripe_index_[stream] + stripe_cursor_[stream]) %
       config_.num_devices);
-  return devices_[dev]->write(stream, data_bytes + config_.chunk_bytes);
+  devices_[dev]->write(stream, data_bytes + config_.chunk_bytes);
 }
 
 const StreamStats& SsdArray::stream_stats(std::uint32_t stream) const {
@@ -109,19 +104,6 @@ std::uint64_t SsdArray::device_bytes(std::uint32_t device) const {
     throw std::out_of_range("device index out of range");
   }
   return devices_[device]->bytes_written();
-}
-
-TimeUs SsdArray::schedule_chunk(std::uint32_t stream, TimeUs now_us) {
-  if (stream >= config_.num_streams) {
-    throw std::out_of_range("stream index out of range");
-  }
-  // One chunk lands on one device; parity is amortised by charging
-  // chunk_bytes * num_devices / (num_devices - 1) of bandwidth.
-  const std::uint64_t effective_bytes = effective_chunk_bytes();
-  const std::uint32_t dev =
-      static_cast<std::uint32_t>(stripe_index_[stream] + stripe_cursor_[stream]) %
-      config_.num_devices;
-  return devices_[dev]->reserve(now_us, effective_bytes);
 }
 
 }  // namespace adapt::array

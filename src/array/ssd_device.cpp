@@ -1,6 +1,5 @@
 #include "array/ssd_device.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace adapt::array {
@@ -10,18 +9,14 @@ SsdDevice::SsdDevice(const SsdDeviceConfig& config)
   if (config.num_streams == 0) {
     throw std::invalid_argument("SsdDevice needs at least one stream");
   }
-  if (config.bandwidth_mb_per_s <= 0) {
-    throw std::invalid_argument("SsdDevice bandwidth must be positive");
-  }
 }
 
-TimeUs SsdDevice::write(std::uint32_t stream, std::uint64_t bytes) {
+void SsdDevice::write(std::uint32_t stream, std::uint64_t bytes) {
   if (stream >= config_.num_streams) {
     throw std::out_of_range("stream index out of range");
   }
   bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
   stream_bytes_[stream].fetch_add(bytes, std::memory_order_relaxed);
-  return service_us(bytes);
 }
 
 std::uint64_t SsdDevice::stream_bytes(std::uint32_t stream) const {
@@ -29,20 +24,6 @@ std::uint64_t SsdDevice::stream_bytes(std::uint32_t stream) const {
     throw std::out_of_range("stream index out of range");
   }
   return stream_bytes_[stream].load(std::memory_order_relaxed);
-}
-
-TimeUs SsdDevice::reserve(TimeUs now_us, std::uint64_t bytes) {
-  const TimeUs service = service_us(bytes);
-  // CAS loop: start at max(now, busy_until), finish start + service.
-  std::uint64_t prev = busy_until_us_.load(std::memory_order_relaxed);
-  for (;;) {
-    const TimeUs start = std::max<TimeUs>(now_us, prev);
-    const TimeUs done = start + service;
-    if (busy_until_us_.compare_exchange_weak(prev, done,
-                                             std::memory_order_relaxed)) {
-      return done;
-    }
-  }
 }
 
 }  // namespace adapt::array

@@ -1,6 +1,7 @@
-// DeviceLanes: submission/completion queues over the bandwidth-modeled
-// device layer — the async replacement for the prototype's single blocking
-// busy-until timeline.
+// DeviceLanes: submission/completion queues over a bandwidth-modeled
+// device — the one device timing law of the repo. array::SsdArray and
+// array::SsdDevice only account bytes; every modeled service time comes
+// from service_time_us below.
 //
 // Each lane models one device: an io_uring-style bounded submission queue
 // (queue_depth entries in flight) in front of a serial service timeline.
@@ -12,10 +13,7 @@
 //               the oldest outstanding completion (modeled backpressure; the
 //               submission queue is bounded, never the host thread).
 //   * service:  the lane serves admitted submissions in order at its
-//               configured bandwidth, using the same formula as
-//               array::SsdDevice::reserve (service_time_us), so a lane
-//               submission and a direct device reservation of the same
-//               payload cost the same modeled time.
+//               configured bandwidth: service_time_us(bandwidth, bytes).
 //   * complete: complete_us = max(admit_us, lane busy_until) + service.
 //               The caller decides what "waiting for durability" means —
 //               the prototype sleeps the submitting thread until
@@ -39,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "array/ssd_device.h"
 #include "common/annotations.h"
 #include "common/histogram.h"
 #include "common/sync.h"
@@ -51,8 +48,8 @@ namespace adapt::lss {
 struct DeviceLanesConfig {
   std::uint32_t lanes = 4;        ///< one per device, as in SsdArray
   std::uint32_t queue_depth = 8;  ///< outstanding submissions per lane
-  /// Payload charged per submit_chunks() submission: a parity-amortised
-  /// chunk, matching SsdArray::effective_chunk_bytes for a 4-device RAID-5.
+  /// Payload charged per submit_chunks() submission (the prototype passes
+  /// one chunk).
   std::uint64_t chunk_bytes = kDefaultChunkSize;
   /// Per-lane sustained bandwidth (aggregate bandwidth / lanes).
   double lane_bandwidth_mb_per_s = 500.0;
@@ -124,6 +121,17 @@ struct DeviceLanesStats {
 class DeviceLanes {
  public:
   explicit DeviceLanes(const DeviceLanesConfig& config);
+
+  /// The bandwidth model's service time for `bytes` at
+  /// `bandwidth_mb_per_s`, rounded to the nearest microsecond. This is THE
+  /// timing formula of the device layer: every lane submission's service
+  /// time comes from it (1 MB at 100 MB/s takes 10,000 us).
+  static TimeUs service_time_us(double bandwidth_mb_per_s,
+                                std::uint64_t bytes) noexcept {
+    const double us =
+        static_cast<double>(bytes) / (bandwidth_mb_per_s * 1e6) * 1e6;
+    return static_cast<TimeUs>(us + 0.5);
+  }
 
   DeviceLanes(const DeviceLanes&) = delete;
   DeviceLanes& operator=(const DeviceLanes&) = delete;

@@ -72,7 +72,9 @@ void LssEngine::attach_addressed_array(array::AddressedArray* addressed) {
 }
 
 void LssEngine::write(Lba lba, std::uint32_t blocks, TimeUs now_us) {
-  if (lba + blocks > config_.logical_blocks) {
+  // Written so lba + blocks cannot wrap past 2^64 and pass as in range.
+  if (blocks > config_.logical_blocks ||
+      lba > config_.logical_blocks - blocks) {
     throw std::out_of_range("write beyond logical capacity");
   }
   for (std::uint32_t i = 0; i < blocks; ++i) {
@@ -108,7 +110,8 @@ ADAPT_HOT void LssEngine::write_block(Lba lba, TimeUs now_us) {
 }
 
 ADAPT_HOT void LssEngine::read(Lba lba, std::uint32_t blocks, TimeUs now_us) {
-  if (lba + blocks > config_.logical_blocks) {
+  if (blocks > config_.logical_blocks ||
+      lba > config_.logical_blocks - blocks) {
     throw std::out_of_range("read beyond logical capacity");
   }
   advance_time(now_us);

@@ -7,79 +7,74 @@
 
 namespace adapt::lss {
 
+namespace {
+
+// Partitioning splits the array's arrival stream N ways, so each shard sees
+// inter-write gaps ~N× longer than the unsharded engine would. The coalesce
+// window models "how long a partial chunk waits for more user data before
+// padding out"; keeping it fixed while arrival thins out N× turns routine
+// gaps into deadline expiries and floods the device with padded flushes.
+// Scale it by the shard count so the per-shard window represents the same
+// aggregate wait. This is the prototype's choice: the simulator replays
+// trace timestamps and keeps the configured window.
+LssConfig scale_coalesce_window(LssConfig config, std::uint32_t shard_count) {
+  config.coalesce_window_us *= shard_count;
+  return config;
+}
+
+}  // namespace
+
 ConcurrentEngine::ConcurrentEngine(const LssConfig& config,
                                    std::uint32_t shard_count,
                                    std::uint64_t base_seed,
                                    const ShardFactory& factory,
                                    bool record_ops)
-    : shard_config_(shard_config(config, shard_count)),
-      logical_blocks_(config.logical_blocks),
+    : sharded_(scale_coalesce_window(config, shard_count), shard_count,
+               base_seed, factory),
       record_ops_(record_ops) {
-  if (!factory) {
-    throw std::invalid_argument("ConcurrentEngine: null shard factory");
-  }
-  // Range partitioning splits the array's arrival stream N ways, so each
-  // shard sees inter-write gaps ~N× longer than the unsharded engine
-  // would. The coalesce window models "how long a partial chunk waits for
-  // more user data before padding out"; keeping it fixed while arrival
-  // thins out N× turns routine gaps into deadline expiries and floods the
-  // device with padded flushes. Scale it by the shard count so the
-  // per-shard window represents the same aggregate wait.
-  shard_config_.coalesce_window_us *= shard_count;
   shards_.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = i;
-    shard->parts = factory(i, shard_config_);
-    if (shard->parts.policy == nullptr || shard->parts.victim == nullptr) {
-      throw std::invalid_argument(
-          "ConcurrentEngine: factory returned a null policy or victim");
-    }
-    // Same seeding law as ShardedEngine: shard i gets base_seed + i, so a
-    // serial oracle built from the same factory/config/seed is bit-
-    // comparable shard by shard.
-    LockGuard g(shard->mu);
-    shard->engine = std::make_unique<LssEngine>(
-        shard_config_, *shard->parts.policy, *shard->parts.victim,
-        shard->parts.array.get(), base_seed + i);
-    if (shard->parts.hook != nullptr) {
-      shard->engine->set_aggregation_hook(shard->parts.hook);
-    }
+    Shard& sh = *shards_.emplace_back(std::make_unique<Shard>());
+    sh.index = i;
     // Apply/durable split: every flush the engine performs is recorded in
     // the shard's collector; lead() and gc_step() drain it under the shard
     // lock and model durability outside.
-    shard->engine->set_flush_collector(&shard->flushes);
-    shards_.push_back(std::move(shard));
+    LockGuard g(sh.mu);
+    engine(sh).set_flush_collector(&sh.flushes);
   }
+}
+
+template <typename Fn>
+auto ConcurrentEngine::with_all_shards_locked(Fn&& fn) const {
+  // Releases every lock even when fn() throws. Exempt from the analysis
+  // for the same reason as the enclosing function.
+  struct Unlocker {
+    const std::vector<std::unique_ptr<Shard>>& shards;
+    ~Unlocker() ADAPT_NO_THREAD_SAFETY_ANALYSIS {
+      for (const std::unique_ptr<Shard>& sh : shards) sh->mu.unlock();
+    }
+  };
+  for (const std::unique_ptr<Shard>& sh : shards_) sh->mu.lock();
+  const Unlocker unlock_on_exit{shards_};
+  return fn();
 }
 
 void ConcurrentEngine::set_trace_sink(std::uint32_t i, TraceSink* sink) {
   Shard& sh = *shards_.at(i);
   LockGuard g(sh.mu);
   sh.sink = sink;
-  sh.engine->set_trace_sink(sink);
+  engine(sh).set_trace_sink(sink);
 }
 
 void ConcurrentEngine::write(Lba lba, std::uint32_t blocks, TimeUs submit_us) {
-  if (lba + blocks > logical_blocks_) {
-    throw std::out_of_range("write beyond logical capacity");
-  }
+  sharded_.check_span(lba, blocks, /*is_write=*/true);
   if (blocks == 0) return;
-  // Range split: shard s covers [s*bps, (s+1)*bps). A request is tiny next
-  // to a shard, so the common case is exactly one sub-span; a span that
-  // straddles a boundary links every touched shard before any ticket is
-  // awaited — submitting serially would pay one full intake round trip per
-  // shard for every split write.
-  const std::uint64_t bps = shard_config_.logical_blocks;
-  const auto s_first = static_cast<std::uint32_t>(lba / bps);
-  const auto s_last = static_cast<std::uint32_t>((lba + blocks - 1) / bps);
-  if (s_first == s_last) {
-    // Fast path: the request fits one shard — true for all but ~1 in
-    // thousands of requests (a request is tiny next to a shard), and the
-    // wave machinery below costs real wall time per op at bench rates. One
-    // stack ticket, no arrays.
-    Shard& sh = *shards_[s_first];
-    WriteTicket t(lba - std::uint64_t{s_first} * bps, blocks, submit_us);
+  if (blocks == 1 || shard_count() == 1) {
+    // Fast path: the op lands on one shard — every 1-block request, and
+    // every request at one shard. The wave machinery below costs real wall
+    // time per op at bench rates. One stack ticket, no arrays.
+    Shard& sh = *shards_[sharded_.shard_of(lba)];
+    WriteTicket t(sharded_.local_of(lba), blocks, submit_us);
     std::exception_ptr error;
     const WriteState st =
         sh.intake.link(&t) ? WriteState::kLeader : WriteIntake::await(&t);
@@ -105,36 +100,22 @@ void ConcurrentEngine::write(Lba lba, std::uint32_t blocks, TimeUs submit_us) {
     if (error != nullptr) std::rethrow_exception(error);
     return;
   }
+  // Striped span: link one ticket per touched shard, up to kWave at a
+  // time, before any is awaited — submitting serially would pay one full
+  // intake round trip per shard.
+  constexpr std::uint32_t kWave = 8;
+  std::array<std::optional<WriteTicket>, kWave> tickets;
+  std::array<Shard*, kWave> owner{};
+  std::uint32_t cnt = 0;
   TimeUs durable_us = 0;
   std::exception_ptr error;
-  constexpr std::uint32_t kWave = 8;
-  std::uint32_t s = s_first;
-  while (s <= s_last && error == nullptr) {
-    std::array<std::optional<WriteTicket>, kWave> tickets;
-    std::array<Shard*, kWave> owner{};
+  // Every linked ticket must reach a terminal state before the wave's
+  // stack storage is reused (or the function unwinds). Poll ALL of them
+  // rather than parking on one: a thread blocked on shard B while holding
+  // a promoted leadership on shard A would stall A — and three such
+  // threads can form a cross-shard leader-wait cycle that never resolves.
+  const auto settle_wave = [&] {
     std::array<bool, kWave> terminal{};
-    std::uint32_t cnt = 0;
-    for (; s <= s_last && cnt < kWave; ++s) {
-      const std::uint64_t shard_base = std::uint64_t{s} * bps;
-      const std::uint64_t lo = std::max<std::uint64_t>(lba, shard_base);
-      const std::uint64_t hi =
-          std::min<std::uint64_t>(lba + blocks, shard_base + bps);
-      WriteTicket& t = tickets[cnt].emplace(
-          lo - shard_base, static_cast<std::uint32_t>(hi - lo), submit_us);
-      owner[cnt] = shards_[s].get();
-      terminal[cnt] = false;
-      // Leadership won at link time is recorded via state: poll below
-      // treats it exactly like a later promotion.
-      if (owner[cnt]->intake.link(&t)) {
-        t.state.store(WriteState::kLeader, std::memory_order_relaxed);
-      }
-      ++cnt;
-    }
-    // Every ticket must reach a terminal state before this wave's stack
-    // storage is reused (or the function unwinds). Poll ALL of them rather
-    // than parking on one: a thread blocked on shard B while holding a
-    // promoted leadership on shard A would stall A — and three such
-    // threads can form a cross-shard leader-wait cycle that never resolves.
     std::uint32_t pending = cnt;
     int spins = spin_budget(2048);
     while (pending > 0) {
@@ -170,7 +151,21 @@ void ConcurrentEngine::write(Lba lba, std::uint32_t blocks, TimeUs submit_us) {
         }
       }
     }
-  }
+    cnt = 0;
+  };
+  sharded_.for_each_subspan(
+      lba, blocks, [&](std::uint32_t s, Lba local, std::uint32_t count) {
+        if (error != nullptr) return;  // start no wave after a failure
+        WriteTicket& t = tickets[cnt].emplace(local, count, submit_us);
+        owner[cnt] = shards_[s].get();
+        // Leadership won at link time is recorded via state: the poll
+        // treats it exactly like a later promotion.
+        if (owner[cnt]->intake.link(&t)) {
+          t.state.store(WriteState::kLeader, std::memory_order_relaxed);
+        }
+        if (++cnt == kWave) settle_wave();
+      });
+  settle_wave();
   // One wait for the latest durable time over every batch this op rode in
   // (each leader stamped its batch's durable_us before publishing), run on
   // the submitting thread alone: follower completions above never stall on
@@ -198,10 +193,11 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
   std::uint64_t flow_id = 0;
   {
     LockGuard g(sh.mu);
-    const std::uint64_t chunks_before = sh.engine->chunks_flushed();
+    LssEngine& eng = engine(sh);
+    const std::uint64_t chunks_before = eng.chunks_flushed();
     if (sh.sink != nullptr) {
       flow_id = (std::uint64_t{sh.index} << 40) | ++sh.batch_seq;
-      sh.engine->set_flow_id(flow_id);
+      eng.set_flow_id(flow_id);
     }
     WriteTicket* w = leader;
     try {
@@ -212,7 +208,7 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
         // was actually applied, not the one the client intended.
         const TimeUs ts = std::max(sh.last_ts, w->submit_us);
         sh.last_ts = ts;
-        sh.engine->write(w->lba, w->blocks, ts);
+        eng.write(w->lba, w->blocks, ts);
         w->joined_us = ts;
         if (record_ops_) {
           sh.log.push_back(
@@ -221,7 +217,7 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
         if (sh.sink != nullptr) {
           emit(sh.sink, TraceEvent{TraceEventKind::kOpSubmit,
                                    static_cast<GroupId>(sh.index),
-                                   sh.engine->vtime(), ts, w->lba, w->blocks,
+                                   eng.vtime(), ts, w->lba, w->blocks,
                                    0, flow_id});
         }
         ++batch_ops;
@@ -236,7 +232,7 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
       aborted_from = w;
     }
     applied_us = sh.last_ts;
-    flushed_delta = sh.engine->chunks_flushed() - chunks_before;
+    flushed_delta = eng.chunks_flushed() - chunks_before;
     // Drain the flush records this batch appended while still holding the
     // lock; the device submit happens OUTSIDE the critical section so the
     // next batch can apply while this one's durability is being modeled.
@@ -250,7 +246,7 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
     if (sh.sink != nullptr) {
       emit(sh.sink,
            TraceEvent{TraceEventKind::kGroupCommit,
-                      static_cast<GroupId>(sh.index), sh.engine->vtime(),
+                      static_cast<GroupId>(sh.index), eng.vtime(),
                       sh.last_ts, batch_ops, batch_blocks, flushed_delta,
                       flow_id});
     }
@@ -306,22 +302,22 @@ void ConcurrentEngine::lead(Shard& sh, WriteTicket* leader) {
   // skip it entirely.
   if (flow_id != 0 && durable_us > 0) {
     LockGuard g(sh.mu);
+    const VTime vtime = engine(sh).vtime();
     bool aborted = false;
     for (WriteTicket* w = leader;;
          w = w->link_newer.load(std::memory_order_relaxed)) {
       if (w == aborted_from) aborted = true;
       if (!aborted && sh.sink != nullptr) {
         emit(sh.sink, TraceEvent{TraceEventKind::kOpDurable,
-                                 static_cast<GroupId>(sh.index),
-                                 sh.engine->vtime(), durable_us, w->lba,
+                                 static_cast<GroupId>(sh.index), vtime,
+                                 durable_us, w->lba,
                                  w->blocks, durable_us, flow_id});
       }
       if (w == last) break;
     }
   }
   // Hand off leadership immediately: the next batch can apply into the
-  // engine the moment this one leaves the critical section — the pipeline
-  // the big lock could never form.
+  // engine the moment this one leaves the critical section.
   sh.intake.exit_group(last);
   // Publish completions oldest-to-newest, reading each link BEFORE the
   // store: a completed follower's stack frame — ticket included — can
@@ -352,19 +348,20 @@ bool ConcurrentEngine::gc_step(std::uint32_t i, TimeUs now_us,
                                std::vector<PendingFlush>* flushes) {
   Shard& sh = *shards_.at(i);
   LockGuard g(sh.mu);
+  LssEngine& eng = engine(sh);
   // GC flushes are not part of any batch's causal flow; clear the stale
   // flow id a previous traced batch left on the engine.
-  if (sh.sink != nullptr) sh.engine->set_flow_id(0);
+  if (sh.sink != nullptr) eng.set_flow_id(0);
   const TimeUs ts = std::max(sh.last_ts, now_us);
-  const std::uint64_t chunks_before = sh.engine->chunks_flushed();
+  const std::uint64_t chunks_before = eng.chunks_flushed();
   // A false step mutates nothing (GcController::step checks the watermark
   // before run_once), so only steps that worked enter the linearized log.
-  if (!sh.engine->gc_step(ts, watermark)) {
+  if (!eng.gc_step(ts, watermark)) {
     if (flushed_chunks != nullptr) *flushed_chunks = 0;
     return false;
   }
   if (flushed_chunks != nullptr) {
-    *flushed_chunks = sh.engine->chunks_flushed() - chunks_before;
+    *flushed_chunks = eng.chunks_flushed() - chunks_before;
   }
   // Hand the pass's flush records to the GC thread (it submits them to the
   // device model itself — there are no write tickets to stamp); drained
@@ -391,8 +388,8 @@ void ConcurrentEngine::flush_all() {
     Shard& sh = *shard;
     LockGuard g(sh.mu);
     // End-of-run pad flushes belong to no batch; drop any stale flow id.
-    if (sh.sink != nullptr) sh.engine->set_flow_id(0);
-    sh.engine->flush_all();
+    if (sh.sink != nullptr) engine(sh).set_flow_id(0);
+    engine(sh).flush_all();
     // The final drain is a quiesced-only bookkeeping pass; nobody is
     // measuring per-op durability any more, so just empty the collector.
     sh.flushes.clear();
@@ -404,63 +401,21 @@ void ConcurrentEngine::flush_all() {
 }
 
 LssMetrics ConcurrentEngine::merged_metrics() const {
-  LssMetrics merged;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    merged.merge_from(shard->engine->metrics());
-  }
-  return merged;
-}
-
-std::uint64_t ConcurrentEngine::chunks_flushed() const {
-  std::uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    total += shard->engine->chunks_flushed();
-  }
-  return total;
-}
-
-std::vector<std::uint32_t> ConcurrentEngine::merged_segments_per_group()
-    const {
-  std::vector<std::uint32_t> merged;
-  std::vector<std::uint32_t> scratch;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    shard->engine->segments_per_group(scratch);
-    if (merged.size() < scratch.size()) merged.resize(scratch.size(), 0);
-    for (std::size_t g2 = 0; g2 < scratch.size(); ++g2) {
-      merged[g2] += scratch[g2];
-    }
-  }
-  return merged;
+  return with_all_shards_locked([&] { return sharded_.merged_metrics(); });
 }
 
 std::uint64_t ConcurrentEngine::merged_pending_blocks() const {
-  std::uint64_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    const GroupId groups = shard->engine->group_count();
-    for (GroupId g2 = 0; g2 < groups; ++g2) {
-      total += shard->engine->pending_blocks(g2);
-    }
-  }
-  return total;
+  return with_all_shards_locked(
+      [&] { return sharded_.merged_pending_blocks(); });
 }
 
 std::size_t ConcurrentEngine::policy_memory_bytes() const {
-  std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    total += shard->parts.policy->memory_usage_bytes();
-  }
-  return total;
+  return with_all_shards_locked(
+      [&] { return sharded_.policy_memory_bytes(); });
 }
 
 void ConcurrentEngine::check_invariants(audit::Level level) const {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    LockGuard g(shard->mu);
-    shard->engine->check_invariants(level);
-  }
+  with_all_shards_locked([&] { sharded_.check_invariants(level); });
 }
 
 GroupCommitStats ConcurrentEngine::shard_stats(std::uint32_t i) const {

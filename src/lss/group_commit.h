@@ -1,12 +1,11 @@
 // Lock-free MPSC group-commit front-end over LBA-sharded LssEngines.
 //
-// This is the live concurrent write path that replaces the prototype's
-// big-lock GuardedEngine: client threads no longer serialize per-op on one
-// mutex; they link write tickets onto a per-shard lock-free intake list and
-// one of them — the *group leader* — applies the whole linked batch against
-// the shard's engine in a single critical section, then publishes per-op
-// completion. The shape follows the RocksDB/FrozenHot LoggingServer writer
-// group (SNIPPETS.md #2/#3):
+// This is the prototype's live concurrent write path: client threads do
+// not serialize per-op on one mutex; they link write tickets onto a
+// per-shard lock-free intake list and one of them — the *group leader* —
+// applies the whole linked batch against the shard's engine in a single
+// critical section, then publishes per-op completion. The shape follows
+// the RocksDB/FrozenHot LoggingServer writer group (SNIPPETS.md #2/#3):
 //
 //   1. link():   CAS-push the ticket onto the shard's newest_ list head.
 //                The thread that installs the head onto an EMPTY list is
@@ -48,8 +47,7 @@
 // Concurrency: the intake list is the only lock-free piece; everything
 // behind it is the ordinary single-threaded engine guarded by the shard
 // mutex (held only by the current leader, so in steady state it is
-// uncontended — the "lock" the clients used to convoy on is now taken once
-// per batch, not once per op).
+// uncontended — taken once per batch, not once per op).
 #pragma once
 
 #include <atomic>
@@ -293,25 +291,24 @@ struct GroupCommitStats {
   std::uint64_t max_batch = 0;  ///< largest single batch (tickets)
 };
 
-/// The concurrent front-end: N independent LBA-sharded LssEngines (same
-/// geometry division and per-shard seeding as ShardedEngine — shard i
-/// seeds with base_seed + i), each fronted by a WriteIntake and a Mutex
-/// held only by that shard's current group leader.
+/// The concurrent front-end: a ShardedEngine — the simulator's shard layer,
+/// with its geometry division, base_seed + i seeding, factory contract and
+/// merges — whose every shard is fronted by a WriteIntake and a Mutex held
+/// only by that shard's current group leader.
 ///
-/// Partitioning is by contiguous LBA range (shard = lba / blocks_per_shard)
-/// rather than ShardedEngine's modulo striping: a multi-block request is
-/// tiny next to a shard (tens of blocks vs tens of thousands), so range
-/// partitioning keeps almost every op on ONE shard — one intake rendezvous
-/// per op instead of one per touched shard. Modulo striping would shred
-/// each request across all shards and make every op wait on several other
-/// threads' leaders, which serializes badly once cores are scarce. Hotspot
-/// skew is not a concern for the target workloads: the YCSB generator uses
-/// a scrambled zipfian, which spreads hot keys uniformly over the range.
+/// Partitioning is ShardedEngine's modulo striping (lba l lives on shard
+/// l % N at local address l / N); there is no second law. Every op of the
+/// prototype's YCSB clients is a 1-block request, so each op still lands
+/// on exactly one shard and pays one intake rendezvous, as it would under
+/// range partitioning — which the simulator cannot use: it would put a
+/// small cloud volume, and with it every hot block, on one shard (DESIGN.md
+/// "Engine decomposition & sharding"). A multi-block request is split per
+/// shard and every touched shard's ticket is linked before any is awaited
+/// (see write()).
 ///
 /// write() and gc_step() are thread-safe. The merged observers
-/// (merged_metrics, chunks_flushed, recorded_ops, ...) take the shard
-/// locks but are meant for a quiesced engine — call them after joining the
-/// client threads.
+/// (merged_metrics, recorded_ops, ...) take the shard locks but are meant
+/// for a quiesced engine — call them after joining the client threads.
 class ConcurrentEngine {
  public:
   /// `record_ops` keeps the per-shard linearized op log for the
@@ -324,17 +321,13 @@ class ConcurrentEngine {
   ConcurrentEngine& operator=(const ConcurrentEngine&) = delete;
 
   std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
+    return sharded_.shard_count();
   }
-  std::uint64_t logical_blocks() const noexcept { return logical_blocks_; }
-  const LssConfig& per_shard_config() const noexcept { return shard_config_; }
-  /// Range partition: shard holding global `lba`; its local address is
-  /// lba - shard * blocks_per_shard().
-  std::uint32_t shard_of(Lba lba) const noexcept {
-    return static_cast<std::uint32_t>(lba / shard_config_.logical_blocks);
+  std::uint64_t logical_blocks() const noexcept {
+    return sharded_.logical_blocks();
   }
-  std::uint64_t blocks_per_shard() const noexcept {
-    return shard_config_.logical_blocks;
+  const LssConfig& per_shard_config() const noexcept {
+    return sharded_.per_shard_config();
   }
 
   /// Submits one batch's drained flush records to a device model (e.g.
@@ -356,12 +349,10 @@ class ConcurrentEngine {
   /// lock, before follower completions are published) and stamps the
   /// returned durable time into every ticket of the batch; each op then
   /// runs `wait` on its OWN thread. Leader and follower submit→durable
-  /// latencies therefore both include their share of the coalesced flush —
-  /// the per-thread accounting matches the big-lock path, where each
-  /// client that tipped a chunk paid its own wait (the skew the PR 8
-  /// prototype documented as a caveat is gone; the follower-latency
-  /// regression test in tests/concurrent_commit_test.cpp pins it). Set
-  /// both hooks before the first write, or neither.
+  /// latencies therefore both include their share of the coalesced flush
+  /// (the follower-latency regression test in
+  /// tests/concurrent_commit_test.cpp pins it). Set both hooks before the
+  /// first write, or neither.
   void set_device_model(FlushSubmitFn submit, DurableWaitFn wait) {
     flush_submit_ = std::move(submit);
     durable_wait_ = std::move(wait);
@@ -383,10 +374,12 @@ class ConcurrentEngine {
   }
 
   /// Thread-safe group-commit write of `blocks` consecutive global blocks
-  /// at `lba`. Under range partitioning the span almost always lands on a
-  /// single shard; when it straddles a boundary, every touched shard's
-  /// ticket is linked BEFORE any is awaited, so the sub-writes commit in
-  /// parallel instead of paying one intake round trip per shard. Returns
+  /// at `lba`. A 1-block op (or any op at one shard) lands on a single
+  /// shard; a longer span is striped over several, and every touched
+  /// shard's ticket is linked BEFORE any is awaited, so the sub-writes
+  /// commit in parallel instead of paying one intake round trip per shard.
+  /// Throws std::out_of_range when the span leaves the logical space
+  /// (ShardedEngine::check_span). Returns
   /// once every sub-span has been applied and this op has waited out the
   /// modeled durable time of every batch it rode in (its durable share of
   /// the coalesced flushes). Failure contract: if the engine
@@ -413,9 +406,9 @@ class ConcurrentEngine {
 
   // -- quiesced observers ---------------------------------------------------
 
+  // Each takes every shard lock, in index order, then calls the matching
+  // ShardedEngine merge.
   LssMetrics merged_metrics() const;
-  std::uint64_t chunks_flushed() const;
-  std::vector<std::uint32_t> merged_segments_per_group() const;
   std::uint64_t merged_pending_blocks() const;
   std::size_t policy_memory_bytes() const;
   void check_invariants(audit::Level level) const;
@@ -433,11 +426,9 @@ class ConcurrentEngine {
   std::vector<RecordedOp> recorded_ops(std::uint32_t i) const;
 
   /// Read-only access to shard `i`'s engine for final-state comparison.
-  /// Quiesced-only: deliberately bypasses the shard lock (the analysis
-  /// cannot express "all writers joined"), hence the escape hatch.
-  const LssEngine& shard_for_inspection(std::uint32_t i) const
-      ADAPT_NO_THREAD_SAFETY_ANALYSIS {
-    return *shards_.at(i)->engine;
+  /// Quiesced-only: reads the engine without taking its shard lock.
+  const LssEngine& shard_for_inspection(std::uint32_t i) const {
+    return sharded_.shard(i);
   }
 
   /// Serial oracle replay: applies `log` to `engine` exactly as the
@@ -448,11 +439,11 @@ class ConcurrentEngine {
                          const std::vector<RecordedOp>& log);
 
  private:
+  /// Lock-side state of one shard. The shard's engine lives in sharded_
+  /// and is reached only through engine(), which requires `mu`.
   struct Shard {
     std::uint32_t index = 0;
-    ShardParts parts;
     Mutex mu;
-    std::unique_ptr<LssEngine> engine ADAPT_PT_GUARDED_BY(mu);
     WriteIntake intake;
     TimeUs last_ts ADAPT_GUARDED_BY(mu) = 0;
     /// Flush records appended by the engine's chunk writer (the collector
@@ -475,6 +466,18 @@ class ConcurrentEngine {
     LatencyBreakdown breakdown ADAPT_GUARDED_BY(lat_mu);
   };
 
+  /// The only way to reach a shard's engine while clients may be running.
+  LssEngine& engine(Shard& sh) ADAPT_REQUIRES(sh.mu) {
+    return sharded_.shard(sh.index);
+  }
+
+  /// Runs fn() with every shard lock held, taken in index order. No other
+  /// path holds two shard locks, so the order cannot invert. The analysis
+  /// cannot name a lock set whose size is known only at run time, hence
+  /// the escape hatch.
+  template <typename Fn>
+  auto with_all_shards_locked(Fn&& fn) const ADAPT_NO_THREAD_SAFETY_ANALYSIS;
+
   /// Leader protocol: capture batch, apply under the shard lock, drain the
   /// batch's flush records, submit them to the device model OUTSIDE the
   /// lock, stamp the modeled durable time into every batch ticket, hand
@@ -483,8 +486,7 @@ class ConcurrentEngine {
   /// thread, or every follower would serialize behind the leader's sleep.
   void lead(Shard& sh, WriteTicket* leader);
 
-  LssConfig shard_config_;
-  std::uint64_t logical_blocks_ = 0;
+  ShardedEngine sharded_;
   bool record_ops_ = true;
   FlushSubmitFn flush_submit_;
   DurableWaitFn durable_wait_;

@@ -18,6 +18,12 @@
 // obs::Registry::merge_from (manifests), and obs::merge_series (sampled
 // time series); see DESIGN.md "Engine decomposition & sharding".
 //
+// This is the one shard layer: the simulator drives it through the queued
+// replay below, and the prototype's group-commit front end
+// (lss::ConcurrentEngine) holds one and reaches each shard's engine under
+// that shard's lock. Both therefore share one partition law, one seeding
+// law and one set of merges.
+//
 // Concurrency contract: shards are thread-compatible, never thread-safe —
 // isolation replaces locking. run_queued() hands each shard's queue to
 // exactly one ThreadPool task, the merge phase runs after wait_idle(), and
@@ -93,6 +99,33 @@ class ShardedEngine {
   }
   Lba local_of(Lba lba) const noexcept { return lba / shards_.size(); }
 
+  /// Throws std::out_of_range unless [lba, lba + blocks) lies inside the
+  /// logical space. Written so it cannot wrap: an LBA near 2^64 must not
+  /// pass by overflowing lba + blocks. Every op of both drivers passes
+  /// here before it is routed.
+  void check_span(Lba lba, std::uint32_t blocks, bool is_write) const;
+
+  /// Invokes fn(shard_index, local_lba, local_blocks) for every shard
+  /// receiving part of the global span [lba, lba + blocks), in shard
+  /// order. The span must already have passed check_span.
+  template <typename Fn>
+  void for_each_subspan(Lba lba, std::uint32_t blocks, Fn&& fn) const {
+    const auto n = static_cast<std::uint32_t>(shards_.size());
+    if (n == 1) {
+      // One shard owns the whole span: skip the modular split.
+      if (blocks > 0) fn(std::uint32_t{0}, lba, blocks);
+      return;
+    }
+    const auto first_shard = static_cast<std::uint32_t>(lba % n);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      // Offset within the span of the first block landing on shard s.
+      const std::uint32_t i0 = (s + n - first_shard) % n;
+      if (i0 >= blocks) continue;
+      const std::uint32_t count = (blocks - i0 + n - 1) / n;
+      fn(s, (lba + i0) / n, count);
+    }
+  }
+
   LssEngine& shard(std::uint32_t i) { return *shards_.at(i).engine; }
   const LssEngine& shard(std::uint32_t i) const {
     return *shards_.at(i).engine;
@@ -127,10 +160,9 @@ class ShardedEngine {
   /// Force-pads every partial chunk on every shard (end-of-trace drain).
   void flush_all();
 
-  /// One proactive GC pass per shard, run in parallel on `pool` when given
-  /// (nullptr runs inline). Returns true if any shard did work.
-  bool gc_step(TimeUs now_us, std::uint32_t watermark,
-               ThreadPool* pool = nullptr);
+  /// One proactive GC pass per shard, in shard order. Returns true if any
+  /// shard did work.
+  bool gc_step(TimeUs now_us, std::uint32_t watermark);
 
   // -- batched parallel replay ---------------------------------------------
 
@@ -168,6 +200,10 @@ class ShardedEngine {
   std::uint64_t chunks_flushed() const noexcept;
   std::size_t policy_memory_bytes() const;
 
+  /// Appended-but-unflushed blocks summed over every group of every shard
+  /// (closes the manifest's write-accounting identity).
+  std::uint64_t merged_pending_blocks() const;
+
   /// Audits every shard at `level`.
   void check_invariants(audit::Level level) const;
 
@@ -185,11 +221,6 @@ class ShardedEngine {
     std::vector<QueuedOp> queue;
     std::exception_ptr error;
   };
-
-  /// Invokes fn(shard_index, local_lba, local_blocks) for every shard
-  /// receiving part of the global span [lba, lba + blocks).
-  template <typename Fn>
-  void for_each_subspan(Lba lba, std::uint32_t blocks, Fn&& fn) const;
 
   void enqueue(Lba lba, std::uint32_t blocks, TimeUs now_us, bool is_write);
   static void replay_queue(Shard& shard) noexcept;

@@ -12,7 +12,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(SsdDeviceTest, AccountsBytesPerStream) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 4, .bandwidth_mb_per_s = 1000});
+  SsdDevice dev(SsdDeviceConfig{.num_streams = 4});
   dev.write(0, 4096);
   dev.write(1, 8192);
   dev.write(0, 4096);
@@ -22,14 +22,8 @@ TEST(SsdDeviceTest, AccountsBytesPerStream) {
   EXPECT_EQ(dev.stream_bytes(2), 0u);
 }
 
-TEST(SsdDeviceTest, LatencyFollowsBandwidth) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 1, .bandwidth_mb_per_s = 100});
-  // 100 MB/s -> 1 MB takes 10,000 us.
-  EXPECT_NEAR(static_cast<double>(dev.write(0, 1000000)), 10000.0, 1.0);
-}
-
 TEST(SsdDeviceTest, InvalidStreamThrows) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 2, .bandwidth_mb_per_s = 100});
+  SsdDevice dev(SsdDeviceConfig{.num_streams = 2});
   EXPECT_THROW(dev.write(2, 4096), std::out_of_range);
   EXPECT_THROW(dev.stream_bytes(5), std::out_of_range);
 }
@@ -37,21 +31,6 @@ TEST(SsdDeviceTest, InvalidStreamThrows) {
 TEST(SsdDeviceTest, InvalidConfigThrows) {
   EXPECT_THROW(SsdDevice(SsdDeviceConfig{.num_streams = 0}),
                std::invalid_argument);
-  EXPECT_THROW(
-      SsdDevice(SsdDeviceConfig{.num_streams = 1, .bandwidth_mb_per_s = 0}),
-      std::invalid_argument);
-}
-
-TEST(SsdDeviceTest, ReserveSerializesRequests) {
-  SsdDevice dev(SsdDeviceConfig{.num_streams = 1, .bandwidth_mb_per_s = 1});
-  // 1 MB/s: 1000 bytes take 1000 us.
-  const TimeUs first = dev.reserve(0, 1000);
-  const TimeUs second = dev.reserve(0, 1000);
-  EXPECT_EQ(first, 1000u);
-  EXPECT_EQ(second, 2000u);
-  // After idle, a later request starts at its arrival.
-  const TimeUs third = dev.reserve(10000, 1000);
-  EXPECT_EQ(third, 11000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -61,8 +40,7 @@ TEST(SsdDeviceTest, ReserveSerializesRequests) {
 SsdArrayConfig small_array() {
   return SsdArrayConfig{.num_devices = 4,
                         .chunk_bytes = 64 * 1024,
-                        .num_streams = 2,
-                        .device_bandwidth_mb_per_s = 1000};
+                        .num_streams = 2};
 }
 
 TEST(SsdArrayTest, FullChunkNoPadding) {
@@ -174,21 +152,11 @@ TEST(SsdArrayTest, InvalidConfigThrows) {
                std::invalid_argument);
 }
 
-TEST(SsdArrayTest, ScheduleChunkAdvancesWithContention) {
-  SsdArray arr(small_array());
-  const TimeUs a = arr.schedule_chunk(0, 0);
-  EXPECT_GT(a, 0u);
-  // Scheduling on the same stream/device back-to-back must not go backwards.
-  const TimeUs b = arr.schedule_chunk(0, 0);
-  EXPECT_GE(b, a);
-}
-
 TEST(SsdArrayTest, TwoDeviceArrayIsMirrorLike) {
   // RAID-5 over 2 devices degenerates to 1 data column + parity.
   SsdArray arr(SsdArrayConfig{.num_devices = 2,
                               .chunk_bytes = 4096,
-                              .num_streams = 1,
-                              .device_bandwidth_mb_per_s = 100});
+                              .num_streams = 1});
   arr.write_chunk(0, 4096);
   EXPECT_EQ(arr.stream_stats(0).parity_bytes, 4096u);
 }

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -162,6 +163,10 @@ struct DiffCase {
   /// that never reclaims a segment would not be testing the GC interleave.
   std::uint64_t writes_per_client = 20'000;
   bool background_gc = true;
+  /// Blocks per client request (YcsbConfig::request_blocks). Above 1, every
+  /// request at more than one shard is striped over several shards, which
+  /// drives ConcurrentEngine::write's multi-ticket wave path.
+  std::uint32_t request_blocks = 1;
 };
 
 /// Runs `dc.clients` threads of YCSB writes (plus GC threads) through a
@@ -192,6 +197,7 @@ void run_differential(const DiffCase& dc) {
   auto client_fn = [&](std::uint32_t client_id) {
     trace::YcsbConfig wc;
     wc.working_set_blocks = kWorkingSet;
+    wc.request_blocks = dc.request_blocks;
     wc.seed = dc.seed * 7919 + client_id;
     trace::YcsbGenerator gen(wc);
     std::uint64_t written = 0;
@@ -304,6 +310,23 @@ TEST(ConcurrentCommitDifferentialTest, AdaptFourClientsSeed2NoGc) {
   run_differential(dc);
 }
 
+TEST(ConcurrentCommitDifferentialTest, AdaptTwoShardsEightBlockRequests) {
+  DiffCase dc;
+  dc.policy = "adapt";
+  dc.seed = 4;
+  dc.request_blocks = 8;
+  run_differential(dc);
+}
+
+TEST(ConcurrentCommitDifferentialTest, SepgcFourShardsEightBlockRequests) {
+  DiffCase dc;
+  dc.seed = 5;
+  dc.shards = 4;
+  dc.clients = 6;
+  dc.request_blocks = 8;
+  run_differential(dc);
+}
+
 TEST(ConcurrentCommitDifferentialTest, SingleShardSingleClientStillExact) {
   DiffCase dc;
   dc.shards = 1;
@@ -324,6 +347,13 @@ TEST(ConcurrentEngineTest, RejectsOutOfRangeWrite) {
   pc.policy = "sepgc";
   ConcurrentEngine engine(cfg, 2, 1, proto::make_prototype_shard_factory(pc));
   EXPECT_THROW(engine.write(cfg.logical_blocks, 1, 0), std::out_of_range);
+  EXPECT_THROW(engine.write(cfg.logical_blocks - 1, 2, 0), std::out_of_range);
+  // lba + blocks wraps past 2^64 to a small value; the span must still be
+  // rejected, not routed to a shard index computed from the huge LBA.
+  constexpr Lba kMax = std::numeric_limits<Lba>::max();
+  EXPECT_THROW(engine.write(kMax, 1, 0), std::out_of_range);
+  EXPECT_THROW(engine.write(kMax - 3, 8, 0), std::out_of_range);
+  EXPECT_EQ(engine.merged_metrics().user_blocks, 0u);
 }
 
 // Fault injection for the batch-abort contract: delegates to the real
@@ -469,12 +499,11 @@ class HoldFirstPolicy : public PlacementPolicy {
   FaultyControl* ctrl_;
 };
 
-// Regression for the PR 8 latency-attribution caveat: under the old
+// Regression for a latency-attribution defect: under the old
 // leader-absorbs-the-wait hook, a batch's coalesced flush was charged to
 // its LEADER alone — followers returned in microseconds and their
 // submit→durable latency silently excluded the device time their own
-// writes caused, where the big-lock oracle charges every client that tips
-// a chunk its own wait. The leader now stamps the batch's modeled durable
+// writes caused. The leader now stamps the batch's modeled durable
 // time into every ticket before publishing and each op waits its own share
 // on its own thread, so the held-leader rendezvous below must see ALL
 // three ops (the original leader, the promoted leader of {A, B}, and its

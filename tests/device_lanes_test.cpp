@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "array/ssd_device.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "lss/device_lanes.h"
@@ -45,21 +44,22 @@ TEST(DeviceLanesConfigTest, ValidateRejectsDegenerateDimensions) {
   EXPECT_THROW(DeviceLanes{cfg}, std::invalid_argument);
 }
 
-TEST(DeviceLanesTest, ServiceTimeMatchesTheDeviceFormula) {
-  // The lane timing law IS SsdDevice's: a lane submission and a direct
-  // device reservation of the same payload must cost the same modeled time.
+TEST(DeviceLanesTest, ServiceTimeFollowsBandwidth) {
+  // THE timing formula: 100 MB/s -> 1 MB takes 10,000 us.
+  EXPECT_EQ(DeviceLanes::service_time_us(100.0, 1'000'000), 10'000u);
+  // A lane submission on an idle lane is charged exactly that formula.
   const DeviceLanesConfig cfg = small_config();
   DeviceLanes lanes(cfg);
-  const TimeUs service = array::SsdDevice::service_time_us(
-      cfg.lane_bandwidth_mb_per_s, cfg.chunk_bytes);
   const LaneCompletion c = lanes.submit(0, cfg.chunk_bytes, 0);
-  EXPECT_EQ(c.complete_us - c.admit_us, service);
+  EXPECT_EQ(c.complete_us - c.admit_us,
+            DeviceLanes::service_time_us(cfg.lane_bandwidth_mb_per_s,
+                                         cfg.chunk_bytes));
 }
 
 TEST(DeviceLanesTest, BoundedQueueDelaysAdmissionToOldestCompletion) {
   const DeviceLanesConfig cfg = small_config();  // depth 2
   DeviceLanes lanes(cfg);
-  const TimeUs service = array::SsdDevice::service_time_us(
+  const TimeUs service = DeviceLanes::service_time_us(
       cfg.lane_bandwidth_mb_per_s, cfg.chunk_bytes);
   ASSERT_GT(service, 0u);
 
@@ -96,7 +96,7 @@ TEST(DeviceLanesTest, SubmitChunksRoundRobinsAndReturnsLatestCompletion) {
   DeviceLanesConfig cfg = small_config();
   cfg.lanes = 4;
   DeviceLanes lanes(cfg);
-  const TimeUs service = array::SsdDevice::service_time_us(
+  const TimeUs service = DeviceLanes::service_time_us(
       cfg.lane_bandwidth_mb_per_s, cfg.chunk_bytes);
 
   // Four chunks over four idle lanes: one each, all complete in parallel.
@@ -285,7 +285,7 @@ LaneCompletion naive_submit(NaiveLane& lane, std::uint32_t depth,
     lane.outstanding.erase(oldest);
   }
   const TimeUs service =
-      array::SsdDevice::service_time_us(bandwidth_mb_per_s, bytes);
+      DeviceLanes::service_time_us(bandwidth_mb_per_s, bytes);
   LaneCompletion c;
   c.submit_us = now_us;
   c.admit_us = admit;

@@ -1,6 +1,7 @@
 // Engine-level tests: append/flush mechanics, the SLA coalescing window,
 // padding accounting, segment lifecycle, GC correctness, shadow-append
 // semantics, and randomized invariant checks.
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -99,6 +100,11 @@ TEST(LssEngineTest, OutOfRangeWriteThrows) {
   EngineFixture f;
   EXPECT_THROW(f.engine.write_block(256, 0), std::out_of_range);
   EXPECT_THROW(f.engine.write(255, 2, 0), std::out_of_range);
+  // lba + blocks wraps past 2^64 to a small value: still out of range.
+  constexpr Lba kMax = std::numeric_limits<Lba>::max();
+  EXPECT_THROW(f.engine.write(kMax, 1, 0), std::out_of_range);
+  EXPECT_THROW(f.engine.write(kMax - 1, 16, 0), std::out_of_range);
+  EXPECT_EQ(f.engine.metrics().user_blocks, 0u);
 }
 
 TEST(LssEngineTest, PendingBlocksTracked) {
@@ -618,6 +624,13 @@ TEST(LssEngineReadTest, SpanningChunksFetchesEach) {
 TEST(LssEngineReadTest, ReadBeyondCapacityThrows) {
   EngineFixture f;
   EXPECT_THROW(f.engine.read(255, 2, 0), std::out_of_range);
+  // Found by fuzz_engine_ops: lba + blocks wrapped past 2^64 to a small
+  // value, so a read at an LBA near 2^64 passed the range check and
+  // indexed the block map out of bounds.
+  constexpr Lba kMax = std::numeric_limits<Lba>::max();
+  EXPECT_THROW(f.engine.read(kMax, 1, 0), std::out_of_range);
+  EXPECT_THROW(f.engine.read(kMax - 1, 16, 0), std::out_of_range);
+  EXPECT_EQ(f.engine.metrics().read_blocks, 0u);
 }
 
 TEST(LssEngineReadTest, ReadFiresExpiredDeadlines) {

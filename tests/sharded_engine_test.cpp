@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -211,10 +212,28 @@ TEST(ShardedEngineTest, SpanSplitCoversEveryBlockExactlyOnce) {
 }
 
 TEST(ShardedEngineTest, OutOfRangeOpsThrow) {
-  ShardedEngine sharded(sharded_config(), 4, 1, two_group_parts);
-  EXPECT_THROW(sharded.write(2047, 2, 0), std::out_of_range);
-  EXPECT_THROW(sharded.read(2048, 1, 0), std::out_of_range);
-  EXPECT_THROW(sharded.enqueue_write(2040, 16, 0), std::out_of_range);
+  constexpr Lba kMax = std::numeric_limits<Lba>::max();
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedEngine sharded(sharded_config(), shards, 1, two_group_parts);
+    const Lba end = sharded.logical_blocks();
+    EXPECT_THROW(sharded.write(end - 1, 2, 0), std::out_of_range);
+    EXPECT_THROW(sharded.read(end, 1, 0), std::out_of_range);
+    EXPECT_THROW(sharded.enqueue_write(end - 8, 16, 0), std::out_of_range);
+    // Spans whose end wraps past 2^64 must not slip through as small
+    // addresses: lba + blocks overflows to a value below the capacity.
+    EXPECT_THROW(sharded.write(kMax, 1, 0), std::out_of_range);
+    EXPECT_THROW(sharded.write(kMax - 2, 8, 0), std::out_of_range);
+    EXPECT_THROW(sharded.read(kMax, 2, 0), std::out_of_range);
+    EXPECT_THROW(sharded.enqueue_write(kMax, 1, 0), std::out_of_range);
+    EXPECT_THROW(sharded.enqueue_read(kMax - 1, 4, 0), std::out_of_range);
+    // Rejected at enqueue: nothing was queued to fail later in run_queued.
+    EXPECT_EQ(sharded.queued_ops(), 0u);
+    // The last block is still addressable.
+    EXPECT_NO_THROW(sharded.write(end - 1, 1, 0));
+    EXPECT_NO_THROW(sharded.enqueue_read(end - 1, 1, 0));
+    EXPECT_NO_THROW(sharded.run_queued(nullptr));
+  }
 }
 
 TEST(ShardedEngineTest, FactoryContractEnforced) {
